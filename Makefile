@@ -1,6 +1,6 @@
 # Convenience targets; CI runs the same commands directly.
 
-.PHONY: build test race bench bench-smoke bench-gate tables trace series ratls chain
+.PHONY: build test race bench bench-smoke bench-gate tables trace series
 
 build:
 	go build ./...
@@ -39,20 +39,6 @@ tables:
 trace:
 	go run ./cmd/sgxnet-tables -trace out.trace > /dev/null
 	go run ./cmd/sgxnet-trace -check -min-coverage 0.95 out.trace
-
-# ratls runs the attested-channel acceptance gates: the -ratls-sweep
-# golden transcript, its workers-1-vs-8 byte-equivalence, and the
-# sharded verification cache's concurrency property under -race.
-ratls:
-	go test ./cmd/sgxnet-tables -run 'TestGolden$$|TestRATLSSweepWorkersEquivalence' -v
-	go test -race ./internal/ratls -v
-
-# chain runs the trusted NF-chain acceptance gates: the -chain-sweep
-# golden transcript, its workers-1-vs-8 byte-equivalence, and the
-# nfchain package (stages, rule engine, admission) under -race.
-chain:
-	go test ./cmd/sgxnet-tables -run 'TestGolden$$|TestChainSweepWorkersEquivalence' -v
-	go test -race ./internal/nfchain -v
 
 # series records the windowed time-series export of the load sweep and
 # runs the analyzer over it: top movers, monotone-growth gauges, and the

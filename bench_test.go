@@ -19,6 +19,7 @@ import (
 	"sgxnet/internal/tor"
 
 	"sgxnet/internal/bgp"
+	"sgxnet/internal/core"
 	"sgxnet/internal/sdnctl"
 )
 
@@ -34,6 +35,42 @@ func benchWorkerCounts() []int {
 	return []int{1}
 }
 
+// benchLoop runs run once per iteration. If unit is set, metric(b,
+// last) summarizes the final iteration's result as that custom metric.
+func benchLoop[T any](b *testing.B, run func() (T, error), unit string, metric func(b *testing.B, last T) float64) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	var last T
+	for i := 0; i < b.N; i++ {
+		var err error
+		if last, err = run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if unit != "" {
+		b.ReportMetric(metric(b, last), unit)
+	}
+}
+
+// benchSweep is benchLoop over one evaluation-engine sweep, on a Runner
+// of each benchWorkerCounts() size, as the sub-benchmarks "workers=N".
+func benchSweep[T any](b *testing.B, run func(*eval.Runner) (T, error), unit string, metric func(b *testing.B, last T) float64) {
+	for _, workers := range benchWorkerCounts() {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			r := eval.NewRunner(workers)
+			benchLoop(b, func() (T, error) { return run(r) }, unit, metric)
+		})
+	}
+}
+
+// wantLen fails a run whose result does not have n entries.
+func wantLen[T any](s []T, err error, n int) ([]T, error) {
+	if err == nil && len(s) != n {
+		err = fmt.Errorf("got %d entries, want %d", len(s), n)
+	}
+	return s, err
+}
+
 // BenchmarkFullSweep runs the Figure 3 sweep — the transcript's dominant
 // workload — through the evaluation engine at worker counts 1 and
 // GOMAXPROCS. The ratio of the two ns/op numbers is the engine's
@@ -41,21 +78,10 @@ func benchWorkerCounts() []int {
 // caller-runs pool degrades to serial by design); BENCH_results.json
 // records both.
 func BenchmarkFullSweep(b *testing.B) {
-	for _, workers := range benchWorkerCounts() {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			r := eval.NewRunner(workers)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				pts, err := r.Figure3(nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(pts) != 10 {
-					b.Fatal("missing points")
-				}
-			}
-		})
-	}
+	benchSweep(b, func(r *eval.Runner) ([]eval.Figure3Point, error) {
+		pts, err := r.Figure3(nil)
+		return wantLen(pts, err, 10)
+	}, "", nil)
 }
 
 // BenchmarkTable1RemoteAttestation regenerates Table 1 (remote
@@ -66,20 +92,16 @@ func BenchmarkTable1RemoteAttestation(b *testing.B) {
 		dh   bool
 	}{{"noDH", false}, {"DH", true}} {
 		b.Run(dh.name, func(b *testing.B) {
-			b.ReportAllocs()
-			var lastTarget uint64
-			for i := 0; i < b.N; i++ {
-				rows, err := eval.Table1()
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, r := range rows {
-					if r.Role == "target" && r.WithDH == dh.dh {
-						lastTarget = r.Tally.Normal
+			benchLoop(b, func() ([]eval.Table1Row, error) { return eval.Table1Traced(nil) }, "target-normal-inst",
+				func(_ *testing.B, rows []eval.Table1Row) float64 {
+					var target uint64
+					for _, r := range rows {
+						if r.Role == "target" && r.WithDH == dh.dh {
+							target = r.Tally.Normal
+						}
 					}
-				}
-			}
-			b.ReportMetric(float64(lastTarget), "target-normal-inst")
+					return float64(target)
+				})
 		})
 	}
 }
@@ -97,16 +119,8 @@ func BenchmarkTable2PacketIO(b *testing.B) {
 		{"100pkt-crypto", 100, true},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
-			b.ReportAllocs()
-			var last uint64
-			for i := 0; i < b.N; i++ {
-				t, err := eval.MeasureSend(cfg.n, cfg.crypto)
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = t.Normal
-			}
-			b.ReportMetric(float64(last), "normal-inst")
+			benchLoop(b, func() (core.Tally, error) { return eval.MeasureSendTraced(nil, "", cfg.n, cfg.crypto) }, "normal-inst",
+				func(_ *testing.B, t core.Tally) float64 { return float64(t.Normal) })
 		})
 	}
 }
@@ -114,16 +128,10 @@ func BenchmarkTable2PacketIO(b *testing.B) {
 // BenchmarkTable3AttestationCounts regenerates Table 3 (attestations per
 // design).
 func BenchmarkTable3AttestationCounts(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		rows, err := eval.Table3()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != 4 {
-			b.Fatal("missing rows")
-		}
-	}
+	benchLoop(b, func() ([]eval.Table3Row, error) {
+		rows, err := eval.Table3Traced(nil)
+		return wantLen(rows, err, 4)
+	}, "", nil)
 }
 
 // BenchmarkTable4InterDomain regenerates Table 4 (30-AS SDN routing,
@@ -133,45 +141,24 @@ func BenchmarkTable4InterDomain(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("native", func(b *testing.B) {
-		b.ReportAllocs()
-		var last uint64
-		for i := 0; i < b.N; i++ {
-			rep, err := sdnctl.RunNative(tp)
-			if err != nil {
-				b.Fatal(err)
-			}
-			last = rep.InterDomain.Normal
-		}
-		b.ReportMetric(float64(last), "normal-inst")
-	})
-	b.Run("sgx", func(b *testing.B) {
-		b.ReportAllocs()
-		var last uint64
-		for i := 0; i < b.N; i++ {
-			rep, err := sdnctl.RunSGX(tp)
-			if err != nil {
-				b.Fatal(err)
-			}
-			last = rep.InterDomain.Normal
-		}
-		b.ReportMetric(float64(last), "normal-inst")
-	})
+	for _, leg := range []struct {
+		name string
+		run  func(*topo.Topology) (*sdnctl.RunReport, error)
+	}{{"native", sdnctl.RunNative}, {"sgx", sdnctl.RunSGX}} {
+		b.Run(leg.name, func(b *testing.B) {
+			benchLoop(b, func() (*sdnctl.RunReport, error) { return leg.run(tp) }, "normal-inst",
+				func(_ *testing.B, rep *sdnctl.RunReport) float64 { return float64(rep.InterDomain.Normal) })
+		})
+	}
 }
 
 // BenchmarkFigure3Scaling regenerates the Figure 3 sweep (a short one:
 // the full 5–50 sweep runs via cmd/sgxnet-tables -fig 3).
 func BenchmarkFigure3Scaling(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		pts, err := eval.Figure3([]int{5, 15, 25})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(pts) != 3 {
-			b.Fatal("missing points")
-		}
-	}
+	benchLoop(b, func() ([]eval.Figure3Point, error) {
+		pts, err := eval.NewRunner(0).Figure3([]int{5, 15, 25})
+		return wantLen(pts, err, 3)
+	}, "", nil)
 }
 
 // BenchmarkEPCSweep regenerates the EPC oversubscription sweep — the
@@ -180,26 +167,13 @@ func BenchmarkFigure3Scaling(b *testing.B) {
 // overhead as a custom metric so BENCH_results.json tracks the paging
 // penalty over time.
 func BenchmarkEPCSweep(b *testing.B) {
-	for _, workers := range benchWorkerCounts() {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			r := eval.NewRunner(workers)
-			b.ReportAllocs()
-			var worst float64
-			for i := 0; i < b.N; i++ {
-				pts, err := r.EPCSweep()
-				if err != nil {
-					b.Fatal(err)
-				}
-				worst = 0
-				for _, p := range pts {
-					if p.Overhead > worst {
-						worst = p.Overhead
-					}
-				}
-			}
-			b.ReportMetric(worst, "worst-overhead-x")
-		})
-	}
+	benchSweep(b, (*eval.Runner).EPCSweep, "worst-overhead-x", func(_ *testing.B, pts []eval.EPCSweepPoint) float64 {
+		var worst float64
+		for _, p := range pts {
+			worst = max(worst, p.Overhead)
+		}
+		return worst
+	})
 }
 
 // BenchmarkXcallSweep regenerates the switchless-call ablation at
@@ -207,29 +181,18 @@ func BenchmarkEPCSweep(b *testing.B) {
 // the batch ≥16 points as a custom metric — the acceptance bar is 2×,
 // so BENCH_results.json tracks how much headroom the ring model keeps.
 func BenchmarkXcallSweep(b *testing.B) {
-	for _, workers := range benchWorkerCounts() {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			r := eval.NewRunner(workers)
-			b.ReportAllocs()
-			var minSpeedup float64
-			for i := 0; i < b.N; i++ {
-				pts, err := r.XcallSweep()
-				if err != nil {
-					b.Fatal(err)
-				}
-				minSpeedup = 0
-				for _, p := range pts {
-					if p.Mode != "switchless" || p.Batch < 16 {
-						continue
-					}
-					if minSpeedup == 0 || p.Speedup < minSpeedup {
-						minSpeedup = p.Speedup
-					}
-				}
+	benchSweep(b, (*eval.Runner).XcallSweep, "min-speedup-x", func(_ *testing.B, pts []eval.XcallSweepPoint) float64 {
+		var minSpeedup float64
+		for _, p := range pts {
+			if p.Mode != "switchless" || p.Batch < 16 {
+				continue
 			}
-			b.ReportMetric(minSpeedup, "min-speedup-x")
-		})
-	}
+			if minSpeedup == 0 || p.Speedup < minSpeedup {
+				minSpeedup = p.Speedup
+			}
+		}
+		return minSpeedup
+	})
 }
 
 // BenchmarkLoadSweep regenerates the open-loop load sweep at worker
@@ -238,29 +201,15 @@ func BenchmarkXcallSweep(b *testing.B) {
 // would regress first if a model change put hidden cost spikes on a
 // request path.
 func BenchmarkLoadSweep(b *testing.B) {
-	for _, workers := range benchWorkerCounts() {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			r := eval.NewRunner(workers)
-			b.ReportAllocs()
-			var worst float64
-			for i := 0; i < b.N; i++ {
-				pts, err := r.LoadSweep()
-				if err != nil {
-					b.Fatal(err)
-				}
-				worst = 0
-				for _, p := range pts {
-					if p.P50 == 0 {
-						continue
-					}
-					if amp := float64(p.P999) / float64(p.P50); amp > worst {
-						worst = amp
-					}
-				}
+	benchSweep(b, (*eval.Runner).LoadSweep, "worst-p999/p50-x", func(_ *testing.B, pts []eval.LoadSweepPoint) float64 {
+		var worst float64
+		for _, p := range pts {
+			if p.P50 != 0 {
+				worst = max(worst, float64(p.P999)/float64(p.P50))
 			}
-			b.ReportMetric(worst, "worst-p999/p50-x")
-		})
-	}
+		}
+		return worst
+	})
 }
 
 // BenchmarkScaleSweep measures the discrete-event kernel. The sdn-1024
@@ -277,34 +226,20 @@ func BenchmarkScaleSweep(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportAllocs()
-		var events uint64
-		for i := 0; i < b.N; i++ {
-			res, err := scale.Run(s)
-			if err != nil {
-				b.Fatal(err)
-			}
-			events += res.Events
-		}
-		b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
+		benchLoop(b, func() (scale.Result, error) { return scale.Run(s) }, "events/sec",
+			func(b *testing.B, res scale.Result) float64 {
+				return float64(res.Events) * float64(b.N) / b.Elapsed().Seconds()
+			})
 	})
-	for _, workers := range benchWorkerCounts() {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			r := eval.NewRunner(workers)
-			b.ReportAllocs()
-			var events uint64
-			for i := 0; i < b.N; i++ {
-				pts, err := r.ScaleSweep()
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, p := range pts {
-					events += p.Events
-				}
-			}
-			b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
-		})
-	}
+	// Every iteration simulates the same events, so b.N times the last
+	// one's count is the total.
+	benchSweep(b, (*eval.Runner).ScaleSweep, "events/sec", func(b *testing.B, pts []eval.ScaleSweepPoint) float64 {
+		var events uint64
+		for _, p := range pts {
+			events += p.Events
+		}
+		return float64(events) * float64(b.N) / b.Elapsed().Seconds()
+	})
 }
 
 // BenchmarkRATLSSweep regenerates the attested-channel sweep at worker
@@ -313,26 +248,15 @@ func BenchmarkScaleSweep(b *testing.B) {
 // 5% acceptance bar bounds, so BENCH_results.json tracks how much
 // headroom the verification cache keeps.
 func BenchmarkRATLSSweep(b *testing.B) {
-	for _, workers := range benchWorkerCounts() {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			r := eval.NewRunner(workers)
-			b.ReportAllocs()
-			var worst float64
-			for i := 0; i < b.N; i++ {
-				pts, err := r.RATLSSweep()
-				if err != nil {
-					b.Fatal(err)
-				}
-				worst = 0
-				for _, p := range pts {
-					if p.Clients == 1_000_000 && p.WarmOverCold > worst {
-						worst = p.WarmOverCold
-					}
-				}
+	benchSweep(b, (*eval.Runner).RATLSSweep, "worst-warm/cold-ratio", func(_ *testing.B, pts []eval.RATLSSweepPoint) float64 {
+		var worst float64
+		for _, p := range pts {
+			if p.Clients == 1_000_000 {
+				worst = max(worst, p.WarmOverCold)
 			}
-			b.ReportMetric(worst, "worst-warm/cold-ratio")
-		})
-	}
+		}
+		return worst
+	})
 }
 
 // BenchmarkChainSweep regenerates the trusted NF-chain sweep at worker
@@ -342,80 +266,43 @@ func BenchmarkRATLSSweep(b *testing.B) {
 // xcall amortization or the in-enclave rule engine got more expensive
 // relative to the native pipeline.
 func BenchmarkChainSweep(b *testing.B) {
-	for _, workers := range benchWorkerCounts() {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			r := eval.NewRunner(workers)
-			b.ReportAllocs()
-			var worst float64
-			for i := 0; i < b.N; i++ {
-				pts, err := r.ChainSweep()
-				if err != nil {
-					b.Fatal(err)
-				}
-				native := map[[2]int]uint64{}
-				for _, p := range pts {
-					if p.Mode == "native" {
-						native[[2]int{p.Depth, p.Rules}] = p.PerHop
-					}
-				}
-				worst = 0
-				for _, p := range pts {
-					if p.Mode != "sgx" || p.Batch != 64 {
-						continue
-					}
-					if n := native[[2]int{p.Depth, p.Rules}]; n > 0 {
-						if ratio := float64(p.PerHop) / float64(n); ratio > worst {
-							worst = ratio
-						}
-					}
-				}
+	benchSweep(b, (*eval.Runner).ChainSweep, "worst-sgx/native-hop-ratio", func(_ *testing.B, pts []eval.ChainSweepPoint) float64 {
+		native := map[[2]int]uint64{}
+		for _, p := range pts {
+			if p.Mode == "native" {
+				native[[2]int{p.Depth, p.Rules}] = p.PerHop
 			}
-			b.ReportMetric(worst, "worst-sgx/native-hop-ratio")
-		})
-	}
+		}
+		var worst float64
+		for _, p := range pts {
+			if p.Mode != "sgx" || p.Batch != 64 {
+				continue
+			}
+			if n := native[[2]int{p.Depth, p.Rules}]; n > 0 {
+				worst = max(worst, float64(p.PerHop)/float64(n))
+			}
+		}
+		return worst
+	})
 }
 
 // BenchmarkAblationBatching sweeps enclave I/O batch sizes.
 func BenchmarkAblationBatching(b *testing.B) {
-	b.ReportAllocs()
-	var perPkt uint64
-	for i := 0; i < b.N; i++ {
-		pts, err := eval.AblationBatchSweep([]int{1, 10, 100})
-		if err != nil {
-			b.Fatal(err)
-		}
-		perPkt = pts[len(pts)-1].PerPacket
-	}
-	b.ReportMetric(float64(perPkt), "batched-normal-inst/pkt")
+	benchLoop(b, func() ([]eval.BatchSweepPoint, error) { return eval.AblationBatchSweep(nil, []int{1, 10, 100}) }, "batched-normal-inst/pkt",
+		func(_ *testing.B, pts []eval.BatchSweepPoint) float64 { return float64(pts[len(pts)-1].PerPacket) })
 }
 
 // BenchmarkAblationSMPC runs the GMW private route comparison — the
 // expensive alternative the SGX design replaces (§3.1).
 func BenchmarkAblationSMPC(b *testing.B) {
-	b.ReportAllocs()
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		c, err := eval.AblationSMPC()
-		if err != nil {
-			b.Fatal(err)
-		}
-		ratio = c.CostRatio
-	}
-	b.ReportMetric(ratio, "smpc-vs-sgx-ratio")
+	benchLoop(b, eval.AblationSMPC, "smpc-vs-sgx-ratio",
+		func(_ *testing.B, c *eval.SMPCComparison) float64 { return c.CostRatio })
 }
 
 // BenchmarkAblationDHTLookup measures directory-less membership lookups.
 func BenchmarkAblationDHTLookup(b *testing.B) {
-	b.ReportAllocs()
-	var hops float64
-	for i := 0; i < b.N; i++ {
-		pts, err := eval.AblationDHTLookups([]int{64})
-		if err != nil {
-			b.Fatal(err)
-		}
-		hops = pts[0].AvgHops
-	}
-	b.ReportMetric(hops, "avg-hops")
+	benchLoop(b, func() ([]eval.DHTSweepPoint, error) { return eval.AblationDHTLookups([]int{64}) }, "avg-hops",
+		func(_ *testing.B, pts []eval.DHTSweepPoint) float64 { return pts[0].AvgHops })
 }
 
 // BenchmarkAblationTorCircuit measures end-to-end circuit build + fetch
@@ -435,22 +322,19 @@ func BenchmarkAblationTorCircuit(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+			benchLoop(b, func() (struct{}, error) {
 				path, err := client.PickPath(consensus, 3)
 				if err != nil {
-					b.Fatal(err)
+					return struct{}{}, err
 				}
 				circ, err := client.BuildCircuit(path)
 				if err != nil {
-					b.Fatal(err)
+					return struct{}{}, err
 				}
-				if _, err := circ.Get(tor.WebHost+"|"+tor.WebService, []byte("bench")); err != nil {
-					b.Fatal(err)
-				}
-				circ.Close()
-			}
+				defer circ.Close()
+				_, err = circ.Get(tor.WebHost+"|"+tor.WebService, []byte("bench"))
+				return struct{}{}, err
+			}, "", nil)
 		})
 	}
 }
@@ -464,14 +348,10 @@ func BenchmarkAblationRouteCompute(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			var updates int
-			for i := 0; i < b.N; i++ {
+			benchLoop(b, func() (bgp.Stats, error) {
 				_, st := bgp.ComputeAll(tp)
-				updates = st.Updates
-			}
-			b.ReportMetric(float64(updates), "route-updates")
+				return st, nil
+			}, "route-updates", func(_ *testing.B, st bgp.Stats) float64 { return float64(st.Updates) })
 		})
 	}
 }

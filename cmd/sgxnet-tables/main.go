@@ -1,5 +1,6 @@
 // Command sgxnet-tables regenerates the tables and figures of the
-// paper's evaluation (§5) plus the ablations.
+// paper's evaluation (§5) plus the ablations. Its sections, their flags
+// and their order come from the eval.Experiments registry.
 //
 // Usage:
 //
@@ -32,6 +33,8 @@ import (
 	"net/http"
 	_ "net/http/pprof"
 	"os"
+	"strconv"
+	"strings"
 
 	"sgxnet/internal/core"
 	"sgxnet/internal/eval"
@@ -41,16 +44,7 @@ import (
 
 // options selects which sections emit produces.
 type options struct {
-	table        int
-	fig          int
-	ablations    bool
-	epcSweep     bool
-	xcallSweep   bool
-	loadSweep    bool
-	scaleSweep   bool
-	ratlsSweep   bool
-	chainSweep   bool
-	faults       bool
+	sections     map[string]bool // selected eval.Experiments names; none = every default one
 	csv          bool
 	workers      int    // evaluation-engine parallelism; 0 = GOMAXPROCS
 	trace        string // trace output path; "" disables tracing
@@ -60,19 +54,45 @@ type options struct {
 	seriesWindow uint64 // window width in cycles; 0 = series.DefaultWindowCycles
 }
 
-// all reports whether every deterministic section should run. The fault
-// sweep races real timeouts against goroutine scheduling, so its numbers
-// are not byte-reproducible; it only runs on request.
-func (o options) all() bool {
-	return o.table == 0 && o.fig == 0 && !o.ablations && !o.epcSweep && !o.xcallSweep && !o.loadSweep && !o.scaleSweep && !o.ratlsSweep && !o.chainSweep && !o.faults
+// selected reports whether emit produces experiment e.
+func (o options) selected(e eval.Experiment) bool {
+	if len(o.sections) == 0 {
+		return e.Default
+	}
+	return o.sections[e.Name]
 }
 
 // emit writes the selected sections. Each section is an independent
 // scenario run: it renders into a private buffer on the evaluation
 // engine's worker pool, and the buffers are concatenated in canonical
-// section order. Everything except the fault sweep is byte-for-byte
-// reproducible at any worker count — the golden tests depend on it.
+// section order. Every default section is byte-for-byte reproducible at
+// any worker count — the golden tests depend on it.
 func emit(w io.Writer, o options) error {
+	// Resolve the export formats first: a bad one must fail before any
+	// section runs and before an existing output file is truncated.
+	var writeTrace func(io.Writer, []obs.Event) error
+	if o.trace != "" {
+		switch o.traceFormat {
+		case "", "jsonl":
+			writeTrace = obs.WriteJSONL
+		case "chrome":
+			writeTrace = obs.WriteChrome
+		default:
+			return fmt.Errorf("unknown -trace-format %q (want jsonl or chrome)", o.traceFormat)
+		}
+	}
+	var writeSeries func(io.Writer, *series.Set) error
+	if o.series != "" {
+		switch o.seriesFormat {
+		case "", "csv":
+			writeSeries = series.WriteCSV
+		case "openmetrics":
+			writeSeries = series.WriteOpenMetrics
+		default:
+			return fmt.Errorf("unknown -series-format %q (want csv or openmetrics)", o.seriesFormat)
+		}
+	}
+
 	r := eval.NewRunner(o.workers)
 	var tr *obs.Trace
 	if o.trace != "" {
@@ -94,160 +114,24 @@ func emit(w io.Writer, o options) error {
 		set = series.NewSet(o.seriesWindow)
 		r.SetSeries(set)
 	}
-	section := func(name string, render func(w io.Writer) error) eval.Section {
-		return func() ([]byte, error) {
-			var b bytes.Buffer
-			if err := render(&b); err != nil {
-				return nil, fmt.Errorf("%s: %w", name, err)
-			}
-			fmt.Fprintln(&b)
-			return b.Bytes(), nil
-		}
-	}
 
 	var sections []eval.Section
-	if o.table == 1 || o.all() {
-		sections = append(sections, section("table 1", func(w io.Writer) error {
-			rows, err := eval.Table1Traced(tr)
-			if err != nil {
-				return err
-			}
-			eval.RenderTable1(w, rows)
-			return nil
-		}))
-	}
-	if o.table == 2 || o.all() {
-		sections = append(sections, section("table 2", func(w io.Writer) error {
-			rows, err := eval.Table2Traced(tr)
-			if err != nil {
-				return err
-			}
-			eval.RenderTable2(w, rows)
-			return nil
-		}))
-	}
-	if o.table == 3 || o.all() {
-		sections = append(sections, section("table 3", func(w io.Writer) error {
-			rows, err := eval.Table3Traced(tr)
-			if err != nil {
-				return err
-			}
-			eval.RenderTable3(w, rows)
-			return nil
-		}))
-	}
-	if o.table == 4 || o.all() {
-		sections = append(sections, section("table 4", func(w io.Writer) error {
-			res, err := r.Table4At(30)
-			if err != nil {
-				return err
-			}
-			eval.RenderTable4(w, res)
-			return nil
-		}))
-	}
-	if o.fig == 3 || o.all() {
-		sections = append(sections, section("figure 3", func(w io.Writer) error {
-			pts, err := r.Figure3(nil)
-			if err != nil {
-				return err
-			}
-			if o.csv {
-				fmt.Fprintln(w, "ases,native_cycles,sgx_cycles")
-				for _, p := range pts {
-					fmt.Fprintf(w, "%d,%d,%d\n", p.N, p.NativeCycles, p.SGXCycles)
-				}
-			} else {
-				eval.RenderFigure3(w, pts)
-			}
-			return nil
-		}))
-	}
-	if o.ablations || o.all() {
-		// RenderAblations emits the blank line after each of its four
-		// sub-blocks itself, so this section skips the shared trailer.
+	for _, e := range eval.Experiments {
+		if !o.selected(e) {
+			continue
+		}
+		render := e.Render
+		if o.csv && e.CSV != nil {
+			render = e.CSV
+		}
 		sections = append(sections, func() ([]byte, error) {
 			var b bytes.Buffer
-			s, err := r.Ablations()
-			if err != nil {
-				return nil, fmt.Errorf("ablations: %w", err)
+			if err := render(r, &b); err != nil {
+				return nil, fmt.Errorf("%s: %w", e.Name, err)
 			}
-			eval.RenderAblations(&b, s)
 			return b.Bytes(), nil
 		})
 	}
-	if o.epcSweep || o.all() {
-		sections = append(sections, section("epc sweep", func(w io.Writer) error {
-			pts, err := r.EPCSweep()
-			if err != nil {
-				return err
-			}
-			eval.RenderEPCSweep(w, pts)
-			return nil
-		}))
-	}
-	if o.xcallSweep || o.all() {
-		sections = append(sections, section("xcall sweep", func(w io.Writer) error {
-			pts, err := r.XcallSweep()
-			if err != nil {
-				return err
-			}
-			eval.RenderXcallSweep(w, pts)
-			return nil
-		}))
-	}
-	if o.loadSweep || o.all() {
-		sections = append(sections, section("load sweep", func(w io.Writer) error {
-			pts, err := r.LoadSweep()
-			if err != nil {
-				return err
-			}
-			eval.RenderLoadSweep(w, pts)
-			return nil
-		}))
-	}
-	if o.scaleSweep || o.all() {
-		sections = append(sections, section("scale sweep", func(w io.Writer) error {
-			pts, err := r.ScaleSweep()
-			if err != nil {
-				return err
-			}
-			eval.RenderScaleSweep(w, pts)
-			return nil
-		}))
-	}
-	if o.ratlsSweep || o.all() {
-		sections = append(sections, section("ratls sweep", func(w io.Writer) error {
-			pts, err := r.RATLSSweep()
-			if err != nil {
-				return err
-			}
-			eval.RenderRATLSSweep(w, pts)
-			return nil
-		}))
-	}
-	if o.chainSweep || o.all() {
-		sections = append(sections, section("chain sweep", func(w io.Writer) error {
-			pts, err := r.ChainSweep()
-			if err != nil {
-				return err
-			}
-			eval.RenderChainSweep(w, pts)
-			return nil
-		}))
-	}
-	if o.faults {
-		sections = append(sections, func() ([]byte, error) {
-			fpts, err := r.FaultTolerance(nil, 0)
-			if err != nil {
-				return nil, fmt.Errorf("fault-tolerance sweep: %w", err)
-			}
-			var b bytes.Buffer
-			eval.RenderFaultTolerance(&b, fpts)
-			return b.Bytes(), nil
-		})
-	}
-
 	outs, err := r.RenderAll(sections)
 	if err != nil {
 		return err
@@ -258,82 +142,85 @@ func emit(w io.Writer, o options) error {
 		}
 	}
 	if tr != nil {
-		if err := writeTrace(o.trace, o.traceFormat, tr); err != nil {
+		if err := writeFile(o.trace, func(f io.Writer) error { return writeTrace(f, tr.Events()) }); err != nil {
 			return err
 		}
 	}
 	if set != nil {
-		if err := writeSeries(o.series, o.seriesFormat, set); err != nil {
+		if err := writeFile(o.series, func(f io.Writer) error { return writeSeries(f, set) }); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// writeSeries exports the series set to path in the chosen format.
-func writeSeries(path, format string, set *series.Set) error {
+// writeFile creates path and fills it with write.
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	switch format {
-	case "", "csv":
-		err = series.WriteCSV(f, set)
-	case "openmetrics":
-		err = series.WriteOpenMetrics(f, set)
-	default:
-		err = fmt.Errorf("unknown -series-format %q (want csv or openmetrics)", format)
-	}
+	err = write(f)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
 	return err
 }
 
-// writeTrace exports the trace to path in the chosen format.
-func writeTrace(path, format string, tr *obs.Trace) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
+// numbered are the int flags that select one experiment by number:
+// -table N selects the entry named "tableN". A number no entry carries
+// selects nothing.
+var numbered = []struct{ flag, usage string }{
+	{"table", "regenerate one table (1-4); 0 = all"},
+	{"fig", "regenerate one figure (3); 0 = all"},
+}
+
+// bindFlags registers the section flags, derived from eval.Experiments,
+// and the run settings on fs. The returned function resolves the parsed
+// flags into options.
+func bindFlags(fs *flag.FlagSet) func() options {
+	var o options
+	nums := map[string]*int{}
+	for _, n := range numbered {
+		nums[n.flag] = fs.Int(n.flag, 0, n.usage)
 	}
-	events := tr.Events()
-	switch format {
-	case "", "jsonl":
-		err = obs.WriteJSONL(f, events)
-	case "chrome":
-		err = obs.WriteChrome(f, events)
-	default:
-		err = fmt.Errorf("unknown -trace-format %q (want jsonl or chrome)", format)
+	bools := map[string]*bool{}
+	for _, e := range eval.Experiments {
+		prefix := strings.TrimRight(e.Name, "0123456789")
+		if _, ok := nums[prefix]; !ok || prefix == e.Name {
+			bools[e.Name] = fs.Bool(e.Name, false, e.Usage)
+		}
 	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
+	fs.BoolVar(&o.csv, "csv", false, "emit Figure 3 as CSV (for plotting) instead of the text chart")
+	fs.IntVar(&o.workers, "workers", 0, "evaluation-engine worker pool size; 0 = GOMAXPROCS, 1 = serial")
+	fs.StringVar(&o.trace, "trace", "", "write a deterministic trace of the run to this file")
+	fs.StringVar(&o.traceFormat, "trace-format", "jsonl", "trace format: jsonl (for sgxnet-trace) or chrome (for Perfetto)")
+	fs.StringVar(&o.series, "series", "", "write windowed time-series metrics (virtual-clock windows) to this file")
+	fs.StringVar(&o.seriesFormat, "series-format", "csv", "series format: csv (for sgxnet-trace -series) or openmetrics")
+	fs.Uint64Var(&o.seriesWindow, "series-window", 0, "series window width in cycles; 0 = the default 4Mi")
+	return func() options {
+		o.sections = map[string]bool{}
+		for name, n := range nums {
+			if *n != 0 {
+				o.sections[name+strconv.Itoa(*n)] = true
+			}
+		}
+		for name, on := range bools {
+			if *on {
+				o.sections[name] = true
+			}
+		}
+		return o
 	}
-	return err
 }
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("sgxnet-tables: ")
-	var o options
-	flag.IntVar(&o.table, "table", 0, "regenerate one table (1-4); 0 = all")
-	flag.IntVar(&o.fig, "fig", 0, "regenerate one figure (3); 0 = all")
-	flag.BoolVar(&o.ablations, "ablations", false, "run only the ablation experiments")
-	flag.BoolVar(&o.epcSweep, "epc-sweep", false, "run only the EPC oversubscription sweep (multi-tenant paging overhead)")
-	flag.BoolVar(&o.xcallSweep, "xcall-sweep", false, "run only the switchless-call ablation (ring batching vs synchronous crossings)")
-	flag.BoolVar(&o.loadSweep, "load-sweep", false, "run only the open-loop load sweep (latency percentiles under seeded arrivals)")
-	flag.BoolVar(&o.scaleSweep, "scale-sweep", false, "run only the discrete-event scale sweep (thousands of ASes/relays, millions of flows on the event kernel)")
-	flag.BoolVar(&o.ratlsSweep, "ratls-sweep", false, "run only the attested-channel sweep (cold vs warm RA-TLS quote verification across client counts)")
-	flag.BoolVar(&o.chainSweep, "chain-sweep", false, "run only the trusted NF-chain sweep (pipeline depth x xcall batch x rule-set size, native vs SGX)")
-	flag.BoolVar(&o.faults, "faults", false, "run the fault-tolerance sweep (timing-dependent, excluded from -ablations and the default run)")
-	flag.BoolVar(&o.csv, "csv", false, "emit Figure 3 as CSV (for plotting) instead of the text chart")
-	flag.IntVar(&o.workers, "workers", 0, "evaluation-engine worker pool size; 0 = GOMAXPROCS, 1 = serial")
-	flag.StringVar(&o.trace, "trace", "", "write a deterministic trace of the run to this file")
-	flag.StringVar(&o.traceFormat, "trace-format", "jsonl", "trace format: jsonl (for sgxnet-trace) or chrome (for Perfetto)")
-	flag.StringVar(&o.series, "series", "", "write windowed time-series metrics (virtual-clock windows) to this file")
-	flag.StringVar(&o.seriesFormat, "series-format", "csv", "series format: csv (for sgxnet-trace -series) or openmetrics")
-	flag.Uint64Var(&o.seriesWindow, "series-window", 0, "series window width in cycles; 0 = the default 4Mi")
+	resolve := bindFlags(flag.CommandLine)
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof and expvar on this address (e.g. :6060); off by default")
 	flag.Parse()
+	o := resolve()
 
 	if *debugAddr != "" {
 		// Wall-clock profiling of the harness itself (worker-pool

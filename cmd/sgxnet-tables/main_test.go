@@ -3,271 +3,202 @@ package main
 import (
 	"bytes"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
+
+	"sgxnet/internal/eval"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files")
 
-// goldenCases are the deterministic CLI invocations. The fault sweep is
-// deliberately absent: its numbers depend on real timeouts.
-var goldenCases = []struct {
-	name string
-	o    options
-}{
-	{"all", options{}},
-	{"table1", options{table: 1}},
-	{"table2", options{table: 2}},
-	{"table3", options{table: 3}},
-	{"table4", options{table: 4}},
-	{"fig3", options{fig: 3}},
-	{"fig3-csv", options{fig: 3, csv: true}},
-	{"ablations", options{ablations: true}},
-	{"epc-sweep", options{epcSweep: true}},
-	{"xcall-sweep", options{xcallSweep: true}},
-	{"load-sweep", options{loadSweep: true}},
-	{"scale-sweep", options{scaleSweep: true}},
-	{"ratls-sweep", options{ratlsSweep: true}},
-	{"chain-sweep", options{chainSweep: true}},
-}
-
 func golden(name string) string { return filepath.Join("testdata", name+".golden") }
 
-// TestGoldenUpdate regenerates every golden transcript from scratch.
-// Run with -update after an intentional change to the instruction model
-// or the renderers; otherwise it is a no-op.
-func TestGoldenUpdate(t *testing.T) {
-	if !*update {
-		t.Skip("run with -update to rewrite the golden files")
+// only selects the named sections.
+func only(names ...string) map[string]bool {
+	m := map[string]bool{}
+	for _, n := range names {
+		m[n] = true
 	}
-	for _, tc := range goldenCases {
-		var b bytes.Buffer
-		if err := emit(&b, tc.o); err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if err := os.WriteFile(golden(tc.name), b.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	return m
 }
 
-// TestGolden checks the default run against all.golden byte for byte,
-// then checks each single-section golden without recomputing: emit
-// writes the same section bytes whether selected alone or as part of
-// the default run, so all.golden must be exactly the concatenation of
-// the per-section transcripts. Figure 3's sweep dominates the runtime;
-// this keeps the full golden sweep to one simulation pass.
-func TestGolden(t *testing.T) {
-	if *update {
-		t.Skip("goldens being rewritten")
-	}
+// checkGolden renders o and compares it with the named golden byte for
+// byte, or rewrites the golden under -update.
+func checkGolden(t *testing.T, name string, o options) {
+	t.Helper()
 	var b bytes.Buffer
-	if err := emit(&b, options{}); err != nil {
+	if err := emit(&b, o); err != nil {
 		t.Fatal(err)
 	}
-	all, err := os.ReadFile(golden("all"))
+	if *update {
+		if err := os.WriteFile(golden(name), b.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden(name))
 	if err != nil {
 		t.Fatalf("missing golden (rerun with -update): %v", err)
 	}
-	if !bytes.Equal(b.Bytes(), all) {
-		t.Fatalf("default output diverges from %s (rerun with -update if intended)\ngot:\n%s\nwant:\n%s",
-			golden("all"), b.Bytes(), all)
+	if !bytes.Equal(b.Bytes(), want) {
+		t.Errorf("output diverges from %s (rerun with -update if intended)\ngot:\n%s\nwant:\n%s",
+			golden(name), b.Bytes(), want)
 	}
+}
+
+// TestGolden is the transcript's determinism gate, driven by the
+// experiment registry. Each default experiment renders alone, strictly
+// serially (-workers 1), against its own golden; the full default
+// transcript renders once at high parallelism (-workers 8,
+// oversubscribed on small machines on purpose) against all.golden; and
+// the per-section goldens must concatenate to all.golden. Together
+// these hold every section byte-identical across worker counts and
+// whether selected alone or in the default run. CI runs this under
+// -race, so it also shakes out data races in the fan-out itself. Run
+// with -update after an intentional change to the instruction model or
+// the renderers to rewrite the goldens.
+func TestGolden(t *testing.T) {
 	var concat []byte
-	for _, name := range []string{"table1", "table2", "table3", "table4", "fig3", "ablations", "epc-sweep", "xcall-sweep", "load-sweep", "scale-sweep", "ratls-sweep", "chain-sweep"} {
-		sec, err := os.ReadFile(golden(name))
+	for _, e := range eval.Experiments {
+		if !e.Default {
+			continue
+		}
+		t.Run(e.Name, func(t *testing.T) {
+			checkGolden(t, e.Name, options{sections: only(e.Name), workers: 1})
+		})
+		sec, err := os.ReadFile(golden(e.Name))
 		if err != nil {
 			t.Fatalf("missing golden (rerun with -update): %v", err)
 		}
-		if !bytes.Contains(all, sec) {
-			t.Errorf("%s is not a slice of all.golden (rerun with -update)", golden(name))
-		}
 		concat = append(concat, sec...)
+	}
+	t.Run("all", func(t *testing.T) {
+		checkGolden(t, "all", options{workers: 8})
+	})
+	all, err := os.ReadFile(golden("all"))
+	if err != nil {
+		t.Fatalf("missing golden (rerun with -update): %v", err)
 	}
 	if !bytes.Equal(concat, all) {
 		t.Error("per-section goldens do not concatenate to all.golden (rerun with -update)")
 	}
 }
 
-// TestParallelSerialEquivalence is the evaluation engine's end-to-end
-// determinism gate: the full transcript rendered strictly serially
-// (-workers 1) and at high parallelism (-workers 8, oversubscribed on
-// small machines on purpose) must be byte-identical. CI runs this under
-// -race, so it also shakes out data races in the fan-out itself.
-func TestParallelSerialEquivalence(t *testing.T) {
-	if *update {
-		t.Skip("goldens being rewritten")
-	}
-	if testing.Short() {
-		t.Skip("renders the full transcript twice; slow under -short")
-	}
-	var serial, parallel bytes.Buffer
-	if err := emit(&serial, options{workers: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := emit(&parallel, options{workers: 8}); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(serial.Bytes(), parallel.Bytes()) {
-		t.Errorf("-workers 8 transcript diverges from -workers 1\nserial:\n%s\nparallel:\n%s",
-			serial.Bytes(), parallel.Bytes())
-	}
-}
-
-// TestEPCSweepWorkersEquivalence is the acceptance gate for the EPC
-// sweep specifically: its transcript must be byte-identical at
-// -workers 1 and -workers 8. (The sweep also rides in the default run,
-// so TestParallelSerialEquivalence covers it there; this test keeps
-// the guarantee even when the sweep is selected alone, and is cheap
-// enough to run under -short.)
-func TestEPCSweepWorkersEquivalence(t *testing.T) {
-	if *update {
-		t.Skip("goldens being rewritten")
-	}
-	var serial, parallel bytes.Buffer
-	if err := emit(&serial, options{epcSweep: true, workers: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := emit(&parallel, options{epcSweep: true, workers: 8}); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(serial.Bytes(), parallel.Bytes()) {
-		t.Errorf("-epc-sweep at -workers 8 diverges from -workers 1\nserial:\n%s\nparallel:\n%s",
-			serial.Bytes(), parallel.Bytes())
-	}
-}
-
-// TestXcallSweepWorkersEquivalence is the acceptance gate for the
-// switchless-call ablation: its transcript must be byte-identical at
-// -workers 1 and -workers 8, cheap enough to run under -short.
-func TestXcallSweepWorkersEquivalence(t *testing.T) {
-	if *update {
-		t.Skip("goldens being rewritten")
-	}
-	var serial, parallel bytes.Buffer
-	if err := emit(&serial, options{xcallSweep: true, workers: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := emit(&parallel, options{xcallSweep: true, workers: 8}); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(serial.Bytes(), parallel.Bytes()) {
-		t.Errorf("-xcall-sweep at -workers 8 diverges from -workers 1\nserial:\n%s\nparallel:\n%s",
-			serial.Bytes(), parallel.Bytes())
-	}
-}
-
-// TestLoadSweepWorkersEquivalence is the acceptance gate for the
-// open-loop load sweep: latency percentiles, violation counts, and
-// utilization must be byte-identical at -workers 1 and -workers 8 —
-// the histogram merge and per-point rate calibration cannot let the
-// worker count show through.
-func TestLoadSweepWorkersEquivalence(t *testing.T) {
-	if *update {
-		t.Skip("goldens being rewritten")
-	}
-	var serial, parallel bytes.Buffer
-	if err := emit(&serial, options{loadSweep: true, workers: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := emit(&parallel, options{loadSweep: true, workers: 8}); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(serial.Bytes(), parallel.Bytes()) {
-		t.Errorf("-load-sweep at -workers 8 diverges from -workers 1\nserial:\n%s\nparallel:\n%s",
-			serial.Bytes(), parallel.Bytes())
-	}
-}
-
-// TestScaleSweepWorkersEquivalence is the acceptance gate for the
-// discrete-event scale sweep: each cell is one single-threaded kernel
-// run, so the transcript — event counts, peak backlog, makespans, and
-// per-op overheads for thousands of hosts — must be byte-identical at
-// -workers 1 and -workers 8. CI runs this under -race as the kernel's
-// end-to-end determinism check.
-func TestScaleSweepWorkersEquivalence(t *testing.T) {
-	if *update {
-		t.Skip("goldens being rewritten")
-	}
-	var serial, parallel bytes.Buffer
-	if err := emit(&serial, options{scaleSweep: true, workers: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := emit(&parallel, options{scaleSweep: true, workers: 8}); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(serial.Bytes(), parallel.Bytes()) {
-		t.Errorf("-scale-sweep at -workers 8 diverges from -workers 1\nserial:\n%s\nparallel:\n%s",
-			serial.Bytes(), parallel.Bytes())
-	}
-}
-
-// TestRATLSSweepWorkersEquivalence is the acceptance gate for the
-// attested-channel sweep: its transcript — cold/warm verification
-// splits, hit rates, per-connection cycle costs — must be
-// byte-identical at -workers 1 and -workers 8. Each cell additionally
-// fans its warm phase across goroutines internally, so this also
-// checks that in-cell concurrency cannot show through the tallies.
-func TestRATLSSweepWorkersEquivalence(t *testing.T) {
-	if *update {
-		t.Skip("goldens being rewritten")
-	}
-	var serial, parallel bytes.Buffer
-	if err := emit(&serial, options{ratlsSweep: true, workers: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := emit(&parallel, options{ratlsSweep: true, workers: 8}); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(serial.Bytes(), parallel.Bytes()) {
-		t.Errorf("-ratls-sweep at -workers 8 diverges from -workers 1\nserial:\n%s\nparallel:\n%s",
-			serial.Bytes(), parallel.Bytes())
-	}
-}
-
-// TestChainSweepWorkersEquivalence is the acceptance gate for the
-// trusted NF-chain sweep: its transcript — hop counts, routing
-// outcomes, per-hop crossing costs, rule-engine shares — must be
-// byte-identical at -workers 1 and -workers 8. Each SGX cell builds a
-// private network, platform, and verifier, so nothing a worker does can
-// show through another cell's tallies.
-func TestChainSweepWorkersEquivalence(t *testing.T) {
-	if *update {
-		t.Skip("goldens being rewritten")
-	}
-	var serial, parallel bytes.Buffer
-	if err := emit(&serial, options{chainSweep: true, workers: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := emit(&parallel, options{chainSweep: true, workers: 8}); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(serial.Bytes(), parallel.Bytes()) {
-		t.Errorf("-chain-sweep at -workers 8 diverges from -workers 1\nserial:\n%s\nparallel:\n%s",
-			serial.Bytes(), parallel.Bytes())
-	}
-}
-
 // TestGoldenCSV covers the one output shape all.golden cannot: the CSV
 // rendering of Figure 3's points.
 func TestGoldenCSV(t *testing.T) {
-	if *update {
-		t.Skip("goldens being rewritten")
-	}
 	if testing.Short() {
 		t.Skip("repeats the Figure 3 sweep; slow under -short")
 	}
-	var b bytes.Buffer
-	if err := emit(&b, options{fig: 3, csv: true}); err != nil {
-		t.Fatal(err)
+	checkGolden(t, "fig3-csv", options{sections: only("fig3"), csv: true})
+}
+
+// parseArgs resolves a command line the way main does.
+func parseArgs(t *testing.T, args ...string) options {
+	t.Helper()
+	fs := flag.NewFlagSet("sgxnet-tables", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	resolve := bindFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatalf("%v: %v", args, err)
 	}
-	want, err := os.ReadFile(golden("fig3-csv"))
-	if err != nil {
-		t.Fatalf("missing golden (rerun with -update): %v", err)
-	}
-	if !bytes.Equal(b.Bytes(), want) {
-		t.Errorf("CSV output diverges from %s (rerun with -update if intended)\ngot:\n%s\nwant:\n%s",
-			golden("fig3-csv"), b.Bytes(), want)
+	return resolve()
+}
+
+// TestRegistryContract pins the command line the benchmark drives (its
+// sectionFlags list) to the experiment registry, so renaming a section
+// fails here rather than in the benchmark.
+func TestRegistryContract(t *testing.T) {
+	t.Run("section-flags", func(t *testing.T) {
+		invocations := [][]string{
+			{"-table", "1"}, {"-table", "2"}, {"-table", "3"}, {"-table", "4"},
+			{"-fig", "3"}, {"-ablations"}, {"-epc-sweep"}, {"-xcall-sweep"},
+			{"-load-sweep"}, {"-scale-sweep"}, {"-ratls-sweep"}, {"-chain-sweep"},
+		}
+		var got, want []string
+		for _, args := range invocations {
+			o := parseArgs(t, args...)
+			var names []string
+			for _, e := range eval.Experiments {
+				if o.selected(e) {
+					names = append(names, e.Name)
+				}
+			}
+			if len(names) != 1 {
+				t.Errorf("%v selects %v, want exactly one experiment", args, names)
+			}
+			got = append(got, names...)
+		}
+		for _, e := range eval.Experiments {
+			if e.Default {
+				want = append(want, e.Name)
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("section flags select %v, want the default experiments %v in order", got, want)
+		}
+	})
+
+	t.Run("unregistered-number", func(t *testing.T) {
+		var b bytes.Buffer
+		if err := emit(&b, parseArgs(t, "-table", "99")); err != nil {
+			t.Fatalf("-table 99: %v", err)
+		}
+		if b.Len() != 0 {
+			t.Errorf("-table 99 printed %d bytes, want none", b.Len())
+		}
+	})
+
+	t.Run("no-orphan-goldens", func(t *testing.T) {
+		names := map[string]bool{"all": true, "fig3-csv": true}
+		for _, e := range eval.Experiments {
+			names[e.Name] = true
+		}
+		files, err := filepath.Glob(golden("*"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range files {
+			if stem := strings.TrimSuffix(filepath.Base(f), ".golden"); !names[stem] {
+				t.Errorf("%s belongs to no registered experiment", f)
+			}
+		}
+	})
+}
+
+// TestBadFormatKeepsFile checks that an unknown export format is
+// rejected before any section runs or any output file is truncated.
+func TestBadFormatKeepsFile(t *testing.T) {
+	for _, tc := range []struct {
+		flag string
+		o    func(path string) options
+	}{
+		{"-trace-format", func(p string) options { return options{trace: p, traceFormat: "bogus"} }},
+		{"-series-format", func(p string) options { return options{series: p, seriesFormat: "bogus"} }},
+	} {
+		t.Run(tc.flag, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "old")
+			old := []byte("previous run\n")
+			if err := os.WriteFile(path, old, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			o := tc.o(path)
+			o.sections = only("table1")
+			var b bytes.Buffer
+			err := emit(&b, o)
+			if err == nil || !strings.Contains(err.Error(), tc.flag) {
+				t.Errorf("err = %v, want one naming %s", err, tc.flag)
+			}
+			if b.Len() != 0 {
+				t.Errorf("printed %d bytes before rejecting the format", b.Len())
+			}
+			if got, _ := os.ReadFile(path); !bytes.Equal(got, old) {
+				t.Errorf("existing file changed to %q", got)
+			}
+		})
 	}
 }

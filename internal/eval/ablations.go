@@ -31,13 +31,13 @@ func (r *Runner) Ablations() (*AblationSuite, error) {
 		var err error
 		switch i {
 		case 0:
-			s.Batch, err = ablationBatchSweep(r.trace, nil)
+			s.Batch, err = AblationBatchSweep(r.trace, nil)
 		case 1:
 			s.SMPC, err = AblationSMPC()
 		case 2:
 			s.DHT, err = AblationDHTLookups(nil)
 		case 3:
-			s.Mbox, err = ablationMiddleboxApproaches(r.trace)
+			s.Mbox, err = AblationMiddleboxApproaches(r.trace)
 		}
 		return struct{}{}, err
 	})
@@ -69,11 +69,7 @@ type BatchSweepPoint struct {
 // AblationBatchSweep quantifies how per-packet cost falls with batch
 // size — the design lever behind the paper's "the cost can be amortized
 // with batched I/O".
-func AblationBatchSweep(batches []int) ([]BatchSweepPoint, error) {
-	return ablationBatchSweep(nil, batches)
-}
-
-func ablationBatchSweep(tr *obs.Trace, batches []int) ([]BatchSweepPoint, error) {
+func AblationBatchSweep(tr *obs.Trace, batches []int) ([]BatchSweepPoint, error) {
 	if len(batches) == 0 {
 		batches = []int{1, 2, 5, 10, 25, 50, 100}
 	}
@@ -221,11 +217,7 @@ type MboxApproachComparison struct {
 }
 
 // AblationMiddleboxApproaches measures both designs live.
-func AblationMiddleboxApproaches() (*MboxApproachComparison, error) {
-	return ablationMiddleboxApproaches(nil)
-}
-
-func ablationMiddleboxApproaches(tr *obs.Trace) (*MboxApproachComparison, error) {
+func AblationMiddleboxApproaches(tr *obs.Trace) (*MboxApproachComparison, error) {
 	out := &MboxApproachComparison{}
 
 	// SGX side: one middlebox, meters reset right before provisioning.

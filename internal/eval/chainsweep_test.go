@@ -7,7 +7,7 @@ import "testing"
 // cost at every (depth, rules) cell, and at depth 8 the rule table —
 // not the crossings — dominates the per-packet cost.
 func TestChainSweepShape(t *testing.T) {
-	pts, err := ChainSweep()
+	pts, err := NewRunner(0).ChainSweep()
 	if err != nil {
 		t.Fatal(err)
 	}

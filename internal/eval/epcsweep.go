@@ -98,11 +98,6 @@ func tenantProgram(i int) *core.Program {
 	}
 }
 
-// EPCSweep runs the full grid on the default pool.
-func EPCSweep() ([]EPCSweepPoint, error) {
-	return defaultRunner().EPCSweep()
-}
-
 // EPCSweep runs every grid point as an independent scenario on the
 // pool. Each point builds its own seeded platform, pager, and meters,
 // so the merged results are byte-identical at any worker count.

@@ -9,7 +9,7 @@ import (
 // EPC and grows once the working-set/share ratio crosses 1.0 — under
 // every tenant count and every eviction policy.
 func TestEPCSweepShape(t *testing.T) {
-	pts, err := EPCSweep()
+	pts, err := NewRunner(0).EPCSweep()
 	if err != nil {
 		t.Fatal(err)
 	}

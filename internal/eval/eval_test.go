@@ -16,7 +16,7 @@ func within(t *testing.T, name string, got, want uint64, pctTol uint64) {
 }
 
 func TestTable1ReproducesPaper(t *testing.T) {
-	rows, err := Table1()
+	rows, err := Table1Traced(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestTable1ReproducesPaper(t *testing.T) {
 }
 
 func TestTable2ReproducesPaper(t *testing.T) {
-	rows, err := Table2()
+	rows, err := Table2Traced(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestTable2ReproducesPaper(t *testing.T) {
 }
 
 func TestTable3CountsMatchFormulas(t *testing.T) {
-	rows, err := Table3()
+	rows, err := Table3Traced(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestTable4ReproducesPaper(t *testing.T) {
 	if testing.Short() {
 		t.Skip("30-AS deployment")
 	}
-	r, err := Table4()
+	r, err := NewRunner(0).Table4At(30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestFigure3ShapeHolds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep")
 	}
-	pts, err := Figure3([]int{5, 15, 25})
+	pts, err := NewRunner(0).Figure3([]int{5, 15, 25})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestFigure3ShapeHolds(t *testing.T) {
 }
 
 func TestAblationBatchSweepMonotone(t *testing.T) {
-	pts, err := AblationBatchSweep([]int{1, 10, 100})
+	pts, err := AblationBatchSweep(nil, []int{1, 10, 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestAblationDHTLogarithmic(t *testing.T) {
 }
 
 func TestAblationMiddleboxApproaches(t *testing.T) {
-	c, err := AblationMiddleboxApproaches()
+	c, err := AblationMiddleboxApproaches(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

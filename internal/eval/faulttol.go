@@ -64,22 +64,13 @@ func faultTolSchedule(seed int64, drop float64) *netsim.FaultSchedule {
 	})
 }
 
-// AblationFaultTolerance sweeps drop intensity against attestation
-// success rate and cycle overhead on the default (fully parallel)
-// runner. A nil intensities slice uses the default sweep (which starts
-// at 0, the overhead baseline); trials <= 0 defaults to 4 runs per
-// point. Schedules are seeded deterministically per (point, trial), so
-// the fault draws replay; only the wall-clock timeout behavior is
-// environment-dependent.
-func AblationFaultTolerance(intensities []float64, trials int) ([]FaultTolerancePoint, error) {
-	return defaultRunner().FaultTolerance(intensities, trials)
-}
-
 // FaultTolerance runs the fault-tolerance sweep with each intensity as
 // an independent scenario on the pool. Every point owns a private rig
 // and network, and its schedules are seeded by (point, trial), so the
 // fault draws are unchanged by fan-out; the baseline-relative overhead
-// is computed after the in-order merge.
+// is computed after the in-order merge. A nil intensities slice uses the
+// default sweep (which starts at 0, the overhead baseline); trials <= 0
+// defaults to 4 runs per point.
 func (r *Runner) FaultTolerance(intensities []float64, trials int) ([]FaultTolerancePoint, error) {
 	if intensities == nil {
 		intensities = []float64{0, 0.02, 0.05, 0.10, 0.20}

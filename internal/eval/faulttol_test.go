@@ -19,7 +19,7 @@ import (
 // render mentions the metered overhead, and a lossy point never reports
 // a cheaper-than-clean average (timeouts and retries only add cycles).
 func TestAblationFaultTolerance(t *testing.T) {
-	pts, err := AblationFaultTolerance([]float64{0, 0.10}, 3)
+	pts, err := NewRunner(0).FaultTolerance([]float64{0, 0.10}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

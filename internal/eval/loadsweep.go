@@ -109,11 +109,6 @@ type LoadSweepPoint struct {
 	Bucketed bool    // percentile regime: bucketed vs exact
 }
 
-// LoadSweep runs the full grid on the default pool.
-func LoadSweep() ([]LoadSweepPoint, error) {
-	return defaultRunner().LoadSweep()
-}
-
 // LoadSweep runs every grid point as an independent scenario on the
 // pool. Each point builds its own deployment, calibrates its own rate,
 // and reduces its own histogram, so the merged table is byte-identical

@@ -65,11 +65,6 @@ type RATLSSweepPoint struct {
 	WarmOverCold float64
 }
 
-// RATLSSweep runs the full grid on the default pool.
-func RATLSSweep() ([]RATLSSweepPoint, error) {
-	return defaultRunner().RATLSSweep()
-}
-
 // RATLSSweep runs every grid point as an independent scenario on the
 // pool. Each point builds its own platform, peer enclaves, and
 // verifier, so the merged results are byte-identical at any worker

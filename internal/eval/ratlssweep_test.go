@@ -10,7 +10,7 @@ import (
 // and at 10^6 clients the warm per-connection cost is under 5% of the
 // cold cost — the amortization acceptance bar.
 func TestRATLSSweepShape(t *testing.T) {
-	pts, err := RATLSSweep()
+	pts, err := NewRunner(0).RATLSSweep()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,8 +16,8 @@ import (
 // fans independent scenario runs out across a bounded worker pool and
 // merges results back in input order, so the rendered transcripts and
 // meter tallies are byte-for-byte identical at any worker count: the
-// golden files gate on it, and TestParallelSerialEquivalence enforces
-// it under -race.
+// golden tests gate on it (each experiment alone at one worker, the
+// full transcript at eight), under -race in CI.
 //
 // Determinism argument: each scenario is a pure function of its inputs
 // (topology seed, scenario config) — scenario code shares no package
@@ -71,11 +71,6 @@ func (r *Runner) SetSeries(s *series.Set) { r.series = s }
 
 // Series returns the attached series set, or nil.
 func (r *Runner) Series() *series.Set { return r.series }
-
-// defaultRunner is the pool used by the package-level convenience
-// wrappers (Figure3, Table4, …): full parallelism, which by the
-// determinism argument above is always safe.
-func defaultRunner() *Runner { return NewRunner(0) }
 
 // mapOrdered runs fn(0..n-1) on the runner and returns the results in
 // input order. The first error wins (by index, not by completion time,

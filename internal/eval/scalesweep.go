@@ -54,11 +54,6 @@ type ScaleSweepPoint struct {
 	MeanLat     uint64 // mean op completion latency, virtual cycles
 }
 
-// ScaleSweep runs the full grid on the default pool.
-func ScaleSweep() ([]ScaleSweepPoint, error) {
-	return defaultRunner().ScaleSweep()
-}
-
 // ScaleSweep runs every grid cell as an independent scenario on the
 // pool. A cell is one single-threaded kernel run, so the merged table
 // is byte-identical at any worker count.

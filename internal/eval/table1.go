@@ -150,13 +150,9 @@ func (r *attestRig) runTraced(tr *obs.Trace, trackBase string, wantDH bool) (tar
 	return target, quoting, challenger, nil
 }
 
-// Table1 measures all six cells.
-func Table1() ([]Table1Row, error) {
-	return Table1Traced(nil)
-}
-
-// Table1Traced is Table1 with each (DH, role) run recorded on tracks
-// "table1/dh=<v>/<role>".
+// Table1Traced measures all six cells, with each (DH, role) run
+// recorded on tracks "table1/dh=<v>/<role>" (a nil trace records
+// nothing).
 func Table1Traced(tr *obs.Trace) ([]Table1Row, error) {
 	var rows []Table1Row
 	for _, dh := range []bool{false, true} {

@@ -71,17 +71,13 @@ func senderProgram() *core.Program {
 	}
 }
 
-// MeasureSend runs one transmission and returns its tally (the EGETKEY
-// used for session-key derivation in the crypto path is excluded, as the
-// table isolates the transmission itself).
-func MeasureSend(count int, withCrypto bool) (core.Tally, error) {
-	return MeasureSendTraced(nil, "", count, withCrypto)
-}
-
-// MeasureSendTraced is MeasureSend with the measured enclave call
-// recorded as a "send" span on the given track. The track's run total is
-// the raw meter tally of the call — the table's −1 SGX(U) crypto
-// adjustment is a rendering convention, not a cost the enclave avoided.
+// MeasureSendTraced runs one transmission and returns its tally (the
+// EGETKEY used for session-key derivation in the crypto path is
+// excluded, as the table isolates the transmission itself). The measured
+// enclave call is recorded as a "send" span on the given track. The
+// track's run total is the raw meter tally of the call — the table's −1
+// SGX(U) crypto adjustment is a rendering convention, not a cost the
+// enclave avoided.
 func MeasureSendTraced(tr *obs.Trace, track string, count int, withCrypto bool) (core.Tally, error) {
 	n := netsim.New()
 	src, err := n.AddHost("src", core.PlatformConfig{EPCFrames: 128})
@@ -154,12 +150,7 @@ func MeasureSendTraced(tr *obs.Trace, track string, count int, withCrypto bool) 
 	return tally, nil
 }
 
-// Table2 measures all four configurations.
-func Table2() ([]Table2Row, error) {
-	return Table2Traced(nil)
-}
-
-// Table2Traced is Table2 with each configuration recorded on a
+// Table2Traced measures all four configurations, each recorded on a
 // "table2/n=<packets>/crypto=<v>" track.
 func Table2Traced(tr *obs.Trace) ([]Table2Row, error) {
 	var rows []Table2Row

@@ -24,14 +24,10 @@ type Table3Row struct {
 	Measured int
 }
 
-// Table3 runs each design and counts attestations.
-func Table3() ([]Table3Row, error) {
-	return Table3Traced(nil)
-}
-
-// Table3Traced is Table3 with the SDN run on track "table3/sdn", the
-// authority's exit re-scan on "table3/tor-authority", and middlebox
-// provisioning on "table3/middlebox".
+// Table3Traced runs each design and counts attestations, with the SDN
+// run on track "table3/sdn", the authority's exit re-scan on
+// "table3/tor-authority", and middlebox provisioning on
+// "table3/middlebox".
 func Table3Traced(tr *obs.Trace) ([]Table3Row, error) {
 	var rows []Table3Row
 

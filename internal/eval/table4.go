@@ -23,16 +23,6 @@ type Table4Result struct {
 	SGX    *sdnctl.RunReport
 }
 
-// Table4 runs the 30-AS workload through both deployments.
-func Table4() (*Table4Result, error) {
-	return defaultRunner().Table4At(30)
-}
-
-// Table4At runs the workload at a chosen AS count, serially.
-func Table4At(n int) (*Table4Result, error) {
-	return NewRunner(1).Table4At(n)
-}
-
 // Table4At runs the workload at a chosen AS count, with the native and
 // SGX deployments as parallel legs when the pool allows. The two legs
 // build disjoint networks and meters, so their tallies are identical to
@@ -89,11 +79,6 @@ type Figure3Point struct {
 	N            int
 	NativeCycles uint64
 	SGXCycles    uint64
-}
-
-// Figure3 sweeps the AS count on the default (fully parallel) runner.
-func Figure3(ns []int) ([]Figure3Point, error) {
-	return defaultRunner().Figure3(ns)
 }
 
 // Figure3 sweeps the AS count and reports the inter-domain controller's

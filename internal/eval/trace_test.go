@@ -138,7 +138,7 @@ func TestTraceAttribution(t *testing.T) {
 // perturbs the measured tallies — probes and spans observe, they do
 // not charge.
 func TestTable1TracedMatchesUntraced(t *testing.T) {
-	plain, err := Table1()
+	plain, err := Table1Traced(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,11 +76,6 @@ type XcallSweepPoint struct {
 	Speedup float64
 }
 
-// XcallSweep runs the full grid on the default pool.
-func XcallSweep() ([]XcallSweepPoint, error) {
-	return defaultRunner().XcallSweep()
-}
-
 // XcallSweep runs every grid point as an independent scenario on the
 // pool. Each point builds its own network, platform, and meters, so
 // the merged results are byte-identical at any worker count. Speedups

@@ -1,7 +1,7 @@
 // Package des is the discrete-event simulation kernel under netsim and
 // the scale sweeps: a binary event heap ordered by virtual timestamp,
 // a virtual cycle clock, and two execution modes — single-threaded
-// run-to-completion (the deterministic core of eval.ScaleSweep) and a
+// run-to-completion (the deterministic core of eval.Runner.ScaleSweep) and a
 // background drainer (the compat shim that lets the goroutine-driven
 // netsim rigs keep their blocking channel API while fault delays ride
 // virtual time instead of wall-clock sleeps).

@@ -13,7 +13,7 @@ import (
 // terminators). Synchronously each record costs an EENTER/EEXIT pair
 // on top of the crypto; with an xcall ring (Config non-nil) records
 // are submitted switchlessly and the crossing amortizes over batches —
-// the ablation eval.XcallSweep measures.
+// the ablation eval.Runner.XcallSweep measures.
 type RecordEngine struct {
 	enc  *core.Enclave
 	ring *xcall.CallRing
