@@ -144,7 +144,10 @@ func BenchmarkTable4InterDomain(b *testing.B) {
 	for _, leg := range []struct {
 		name string
 		run  func(*topo.Topology) (*sdnctl.RunReport, error)
-	}{{"native", sdnctl.RunNative}, {"sgx", sdnctl.RunSGX}} {
+	}{
+		{"native", func(tp *topo.Topology) (*sdnctl.RunReport, error) { return sdnctl.RunNative(tp, nil, "") }},
+		{"sgx", func(tp *topo.Topology) (*sdnctl.RunReport, error) { return sdnctl.RunSGX(tp, sdnctl.SGXConfig{}) }},
+	} {
 		b.Run(leg.name, func(b *testing.B) {
 			benchLoop(b, func() (*sdnctl.RunReport, error) { return leg.run(tp) }, "normal-inst",
 				func(_ *testing.B, rep *sdnctl.RunReport) float64 { return float64(rep.InterDomain.Normal) })

@@ -118,13 +118,13 @@ func (f *fixture) run(t *testing.T, wantDH bool) (uint32, uint32, error, error) 
 		if targetErr != nil {
 			return
 		}
-		tid, targetErr = Respond(f.target, f.tShim, f.hostT, serverConn)
+		tid, targetErr = Respond(nil, "", f.target, f.tShim, f.hostT, serverConn)
 	}()
 	conn, err := f.hostC.Dial("target-host", "app")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cid, _, challErr := Challenge(f.challenger, f.cShim, conn, wantDH)
+	_, cid, _, _, challErr := Challenge(nil, "", f.challenger, f.cShim, f.cState, Dialed(conn), wantDH, RetryPolicy{})
 	wg.Wait()
 	return cid, tid, challErr, targetErr
 }
@@ -471,7 +471,7 @@ func TestEvidenceTamperingRejected(t *testing.T) {
 		if err != nil {
 			return
 		}
-		Respond(f.target, f.tShim, f.hostT, sc) // will fail when the client aborts
+		Respond(nil, "", f.target, f.tShim, f.hostT, sc) // will fail when the client aborts
 	}()
 	conn, err := f.hostC.Dial("target-host", "app")
 	if err != nil {
@@ -515,7 +515,7 @@ func TestReplayedEvidenceRejected(t *testing.T) {
 			if err != nil {
 				return
 			}
-			Respond(f.target, f.tShim, f.hostT, sc)
+			Respond(nil, "", f.target, f.tShim, f.hostT, sc)
 		}()
 		conn, err := f.hostC.Dial("target-host", "app")
 		if err != nil {
@@ -547,7 +547,7 @@ func TestReplayedEvidenceRejected(t *testing.T) {
 		if err != nil {
 			return
 		}
-		Respond(f.target, f.tShim, f.hostT, sc)
+		Respond(nil, "", f.target, f.tShim, f.hostT, sc)
 	}()
 	conn, err := f.hostC.Dial("target-host", "app")
 	if err != nil {

@@ -19,7 +19,8 @@ import (
 // Remote attestation protocol: target and challenger roles. The entry
 // points are in-enclave handlers (merged into an application program with
 // AddTargetHandlers / AddChallengerHandlers); the Respond and Challenge
-// drivers are the untrusted runtime's orchestration around them.
+// drivers (the latter in retry.go) are the untrusted runtime's
+// orchestration around them.
 //
 // The ENCLU traces reproduce Table 1 exactly:
 //
@@ -259,15 +260,11 @@ func (st *TargetState) finish(env *core.Env, arg []byte) ([]byte, error) {
 // opens the local quoting-enclave connection, performs the untrusted
 // hello/done framing, and enters the enclave for the three protocol
 // steps. On success the enclave holds a session for the returned connID.
-func Respond(enc *core.Enclave, shim *netsim.IOShim, host *netsim.SimHost, conn *netsim.Conn) (uint32, error) {
-	return RespondTrace(nil, "", enc, shim, host, conn)
-}
-
-// RespondTrace is Respond with an optional trace: each protocol round
-// becomes a span on the given track carrying the target enclave's tally
-// delta for that round. A nil trace makes it identical to Respond. The
-// track must be private to this (sequential) driver flow.
-func RespondTrace(tr *obs.Trace, track string, enc *core.Enclave, shim *netsim.IOShim, host *netsim.SimHost, conn *netsim.Conn) (uint32, error) {
+// With a non-nil trace the run is an "attest.respond" span on track and
+// each protocol round a nested span carrying the target enclave's tally
+// delta for that round. The track must be private to this (sequential)
+// driver flow.
+func Respond(tr *obs.Trace, track string, enc *core.Enclave, shim *netsim.IOShim, host *netsim.SimHost, conn *netsim.Conn) (uint32, error) {
 	all := tr.Begin(track, "attest.respond", enc.Meter())
 	defer all.End()
 	cid := shim.Adopt(conn)
@@ -508,34 +505,12 @@ func (st *ChallengerState) Abort(connID uint32) {
 	st.pmu.Unlock()
 }
 
-// Challenge drives the challenger side of one remote attestation over
-// conn. On success the enclave holds a session for the returned connID
-// and the attested peer identity is returned. On failure the connection
-// is closed so the remote side unblocks.
-func Challenge(enc *core.Enclave, shim *netsim.IOShim, conn *netsim.Conn, wantDH bool) (uint32, Identity, error) {
-	return ChallengeTrace(nil, "", enc, shim, conn, wantDH)
-}
-
-// ChallengeTrace is Challenge with an optional trace: the whole run and
-// each enclave round become spans on the given track carrying the
-// challenger enclave's tally deltas. A nil trace makes it identical to
-// Challenge. The track must be private to this (sequential) flow.
-func ChallengeTrace(tr *obs.Trace, track string, enc *core.Enclave, shim *netsim.IOShim, conn *netsim.Conn, wantDH bool) (uint32, Identity, error) {
-	all := tr.Begin(track, "attest.challenge", enc.Meter())
-	cid, id, err := challengeOnce(tr, track, enc, shim, conn, wantDH, 0)
-	all.End()
-	if err != nil {
-		return 0, Identity{}, err
-	}
-	return cid, id, nil
-}
-
 // challengeOnce is one attestation attempt with an optional deadline on
-// the two untrusted receives (0 blocks forever). Unlike Challenge it
-// returns the connID even on failure so the caller can Abort the pending
-// enclave state before retrying. A timed-out receive charges
-// core.CostRecvTimeout to the challenger enclave's meter: the enclave is
-// re-entered just to learn the attempt is dead.
+// the two untrusted receives (0 blocks forever). It returns the connID
+// even on failure so Challenge can Abort the pending enclave state before
+// retrying. A timed-out receive charges core.CostRecvTimeout to the
+// challenger enclave's meter: the enclave is re-entered just to learn
+// the attempt is dead.
 func challengeOnce(tr *obs.Trace, track string, enc *core.Enclave, shim *netsim.IOShim, conn *netsim.Conn, wantDH bool, recvTimeout time.Duration) (uint32, Identity, error) {
 	cid := shim.Adopt(conn)
 	fail := func(err error) (uint32, Identity, error) {

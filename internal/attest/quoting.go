@@ -2,7 +2,10 @@ package attest
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"sgxnet/internal/core"
 	"sgxnet/internal/netsim"
@@ -135,6 +138,10 @@ type Agent struct {
 	trMu    sync.Mutex
 	trace   *obs.Trace
 	trTrack string
+
+	// serving counts requests from accept until their charges and trace
+	// span are recorded (see WaitIdle).
+	serving atomic.Int64
 }
 
 // SetXcall switches the agent to switchless quote serving: ECALLs into
@@ -218,6 +225,7 @@ func NewAgent(host *netsim.SimHost, archSigner *core.Signer) (*Agent, error) {
 
 func (a *Agent) serveConn(c *netsim.Conn) {
 	defer c.Close()
+	a.serving.Add(1)
 	id := a.shim.Adopt(c)
 	arg := netsim.EncodeSend(id, nil)
 	a.trMu.Lock()
@@ -233,6 +241,7 @@ func (a *Agent) serveConn(c *netsim.Conn) {
 	if tr != nil {
 		tr.RecordSpan(track, "attest.quote", a.QE.Meter().Snapshot().Sub(before))
 	}
+	a.serving.Add(-1)
 	if err != nil {
 		// Refused (e.g. forged report): the requester sees the closed
 		// connection. Denial is always in the host's power; wrong quotes
@@ -246,6 +255,22 @@ func (a *Agent) serveConn(c *netsim.Conn) {
 		if _, err := c.Recv(); err != nil {
 			return
 		}
+	}
+}
+
+// SetRecvTimeout bounds the quoting enclave's receives, as
+// IOShim.SetRecvTimeout does (d <= 0 blocks). Under a fault schedule a
+// lost "done" would otherwise hold a serve inside the enclave forever.
+func (a *Agent) SetRecvTimeout(d time.Duration) { a.shim.SetRecvTimeout(d) }
+
+// WaitIdle blocks until every request the agent has begun serving is
+// fully accounted. The quoting enclave tops up its cost after sending
+// its final "qe-bye", so a requester can finish before that charge — and
+// the "attest.quote" span — lands; call WaitIdle before reading the QE's
+// meter or closing its trace track.
+func (a *Agent) WaitIdle() {
+	for a.serving.Load() > 0 {
+		runtime.Gosched()
 	}
 }
 

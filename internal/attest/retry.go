@@ -19,10 +19,11 @@ import (
 // challenger enclave's meter, so robustness shows up in the cost tables
 // rather than looking free.
 
-// RetryPolicy bounds the attestation retry loop.
+// RetryPolicy bounds the attestation retry loop. The zero policy is the
+// seed's behaviour: one attempt, blocking receives, no sleep.
 type RetryPolicy struct {
 	// Attempts is the total number of protocol runs tried (first attempt
-	// included) before giving up.
+	// included) before giving up. Zero or less means one.
 	Attempts int
 
 	// RecvTimeout is the deadline on each untrusted receive in the
@@ -31,34 +32,38 @@ type RetryPolicy struct {
 	RecvTimeout time.Duration
 
 	// Backoff is the sleep before the second attempt; it doubles per
-	// retry, capped at BackoffMax.
+	// retry, capped at BackoffMax. Zero means 10ms and 200ms.
 	Backoff    time.Duration
 	BackoffMax time.Duration
 }
 
-// DefaultRetryPolicy is tuned for the simulator's time scale: fault
-// schedules delay links by milliseconds, so a 250ms deadline separates
-// "lost" from "slow" with wide margin while keeping tests fast.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{Attempts: 4, RecvTimeout: 250 * time.Millisecond,
-		Backoff: 10 * time.Millisecond, BackoffMax: 200 * time.Millisecond}
-}
-
 func (p RetryPolicy) withDefaults() RetryPolicy {
-	d := DefaultRetryPolicy()
 	if p.Attempts <= 0 {
-		p.Attempts = d.Attempts
-	}
-	if p.RecvTimeout <= 0 {
-		p.RecvTimeout = d.RecvTimeout
+		p.Attempts = 1
 	}
 	if p.Backoff <= 0 {
-		p.Backoff = d.Backoff
+		p.Backoff = 10 * time.Millisecond
 	}
 	if p.BackoffMax <= 0 {
-		p.BackoffMax = d.BackoffMax
+		p.BackoffMax = 200 * time.Millisecond
 	}
 	return p
+}
+
+// Pause sleeps out the backoff before retry n (n >= 1): Backoff,
+// doubled for every further retry and capped at BackoffMax. Every retry
+// loop in the repository waits here, so this is the one wall-clock
+// sleep a virtual clock has to replace.
+func (p RetryPolicy) Pause(n int) {
+	p = p.withDefaults()
+	d := p.Backoff
+	for i := 1; i < n; i++ {
+		if d *= 2; d > p.BackoffMax {
+			d = p.BackoffMax
+			break
+		}
+	}
+	time.Sleep(d)
 }
 
 // Transient reports whether an attestation failure is worth retrying.
@@ -75,29 +80,34 @@ func Transient(err error) bool {
 	return !errors.As(err, &pe)
 }
 
-// ChallengeRetry runs the challenger side with deadlines and bounded
-// exponential backoff. dial opens a fresh connection per attempt — the
-// application owns addressing and any preamble it must send before the
-// protocol (e.g. a service banner). On success it returns the live
-// connection, its connID (holding the established session), the attested
-// identity, and how many retries were needed. Pending enclave state of
-// failed attempts is aborted, and each retry charges
-// core.CostRetryAttempt to the challenger enclave's meter.
-func ChallengeRetry(enc *core.Enclave, shim *netsim.IOShim, st *ChallengerState,
-	dial func() (*netsim.Conn, error), wantDH bool, pol RetryPolicy) (*netsim.Conn, uint32, Identity, int, error) {
-	return ChallengeRetryTrace(nil, "", enc, shim, st, dial, wantDH, pol)
+// Dialed adapts a connection the caller already opened to Challenge's
+// dial parameter. It yields the same connection on every call, so it
+// suits the zero (single-attempt) policy only.
+func Dialed(conn *netsim.Conn) func() (*netsim.Conn, error) {
+	return func() (*netsim.Conn, error) { return conn, nil }
 }
 
-// ChallengeRetryTrace is ChallengeRetry with an optional trace: every
-// retry records an "attest.retry" instant event (with the attempt
-// number and the error that forced it), and the enclave rounds of each
-// attempt become spans, so a trace shows exactly how much of an
-// attestation's cost the network adversary caused. A nil trace makes it
-// identical to ChallengeRetry.
-func ChallengeRetryTrace(tr *obs.Trace, track string, enc *core.Enclave, shim *netsim.IOShim, st *ChallengerState,
+// Challenge drives the challenger side of remote attestation under pol.
+// dial opens a fresh connection per attempt — the application owns
+// addressing and any preamble it must send before the protocol (e.g. a
+// service banner). On success it returns the live connection, its
+// connID (holding the established session), the attested identity, and
+// how many retries were needed. A failed attempt's connection is closed
+// so the remote side unblocks; its pending enclave state is aborted when
+// st is non-nil, and each retry charges core.CostRetryAttempt to the
+// challenger enclave's meter.
+//
+// With a non-nil trace the whole run is an "attest.challenge" span on
+// track and each enclave round a nested span carrying the challenger's
+// tally delta; every retry records an "attest.retry" instant (with the
+// attempt number and the error that forced it), so a trace shows exactly
+// how much of an attestation's cost the network adversary caused. The
+// track must be private to this (sequential) flow.
+func Challenge(tr *obs.Trace, track string, enc *core.Enclave, shim *netsim.IOShim, st *ChallengerState,
 	dial func() (*netsim.Conn, error), wantDH bool, pol RetryPolicy) (*netsim.Conn, uint32, Identity, int, error) {
 	pol = pol.withDefaults()
-	backoff := pol.Backoff
+	all := tr.Begin(track, "attest.challenge", enc.Meter())
+	defer all.End()
 	var lastErr error
 	for attempt := 0; attempt < pol.Attempts; attempt++ {
 		if attempt > 0 {
@@ -106,11 +116,7 @@ func ChallengeRetryTrace(tr *obs.Trace, track string, enc *core.Enclave, shim *n
 				"attempt": fmt.Sprint(attempt),
 				"cause":   lastErr.Error(),
 			})
-			time.Sleep(backoff)
-			backoff *= 2
-			if backoff > pol.BackoffMax {
-				backoff = pol.BackoffMax
-			}
+			pol.Pause(attempt)
 		}
 		conn, err := dial()
 		if err != nil {
@@ -124,10 +130,12 @@ func ChallengeRetryTrace(tr *obs.Trace, track string, enc *core.Enclave, shim *n
 		if err == nil {
 			return conn, cid, id, attempt, nil
 		}
-		st.Abort(cid)
-		// finish may have stored a session before the ack was lost; the
-		// connection is dead, so the session goes with it.
-		st.Drop(cid)
+		if st != nil {
+			st.Abort(cid)
+			// finish may have stored a session before the ack was lost;
+			// the connection is dead, so the session goes with it.
+			st.Drop(cid)
+		}
 		lastErr = err
 		if !Transient(err) {
 			break
@@ -151,7 +159,7 @@ type Invalidator interface {
 // attested one, in the only safe order: first every trace of the old
 // attestation is destroyed — the pending protocol state and stored
 // session on the old connection, plus whatever the Invalidator cached
-// from the old quote — and only then does a new ChallengeRetry run. The
+// from the old quote — and only then does a new Challenge run. The
 // scheduling work is what core.CostSessionReestablish prices, so it is
 // charged here (once per re-establishment, before the retry loop adds
 // its own per-attempt costs); detection of the expiry itself, in
@@ -169,5 +177,5 @@ func Reestablish(tr *obs.Trace, track string, enc *core.Enclave, shim *netsim.IO
 	tr.Event(track, "attest.reestablish", map[string]string{
 		"conn": fmt.Sprint(oldConnID),
 	})
-	return ChallengeRetryTrace(tr, track, enc, shim, st, dial, wantDH, pol)
+	return Challenge(tr, track, enc, shim, st, dial, wantDH, pol)
 }

@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -205,6 +206,9 @@ type Enclave struct {
 	// whose drains account the amortized crossings instead.
 	switchlessOCalls atomic.Bool
 
+	// inside counts threads in Call or SwitchlessCall (see WaitIdle).
+	inside atomic.Int64
+
 	destroyed sync.Once
 	dead      bool
 }
@@ -245,6 +249,7 @@ func (e *Enclave) Call(fn string, arg []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	e.inside.Add(1)
 	e.meter.ChargeSGX(1) // EENTER
 	if hp := e.plat.probe.Load(); hp != nil {
 		hp.p.Observe(KindEENTER, 1)
@@ -254,7 +259,21 @@ func (e *Enclave) Call(fn string, arg []byte) ([]byte, error) {
 	out, err := h(env, arg)
 	e.meter.ChargeSGX(1) // EEXIT
 	e.plat.observe(KindEEXIT, 1)
+	e.inside.Add(-1)
 	return out, err
+}
+
+// WaitIdle blocks until no thread is inside the enclave. A handler can
+// hand its reply to the untrusted host (an OCALL send) and keep charging
+// afterwards — a cost top-up, then the EEXIT Call charges on return — so
+// a peer can hold the reply before the enclave has charged for it. A
+// driver that snapshots meters between exchanges calls WaitIdle first;
+// once the peer holds the reply, the exchange's call has entered, so
+// after WaitIdle its every charge is on the meter.
+func (e *Enclave) WaitIdle() {
+	for e.inside.Load() > 0 {
+		runtime.Gosched()
+	}
 }
 
 // SwitchlessCall invokes an entry point without the EENTER/EEXIT pair:
@@ -269,6 +288,8 @@ func (e *Enclave) SwitchlessCall(fn string, arg []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	e.inside.Add(1)
+	defer e.inside.Add(-1)
 	env := &Env{e: e}
 	return h(env, arg)
 }

@@ -227,7 +227,7 @@ func AblationMiddleboxApproaches(tr *obs.Trace) (*MboxApproachComparison, error)
 	}
 	rig.Endpoint.Meter().Reset()
 	rig.Mboxes[0].Enclave().Meter().Reset()
-	if _, err := rig.ProvisionAllTraced(tr, "ablation/mbox"); err != nil {
+	if _, err := rig.ProvisionAll(tr, "ablation/mbox"); err != nil {
 		return nil, err
 	}
 	out.SGXFirstContact = rig.Endpoint.Meter().Snapshot().Add(rig.Mboxes[0].Enclave().Meter().Snapshot())

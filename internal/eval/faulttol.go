@@ -115,7 +115,7 @@ func faultTolPoint(tr *obs.Trace, i int, drop float64, trials int, pol attest.Re
 	defer l.Close()
 	go l.Serve(func(c *netsim.Conn) {
 		defer c.Close()
-		if _, err := attest.Respond(rig.target, rig.tShim, rig.hostT, c); err != nil {
+		if _, err := attest.Respond(nil, "", rig.target, rig.tShim, rig.hostT, c); err != nil {
 			return
 		}
 		// Linger: the challenger closes once it is done with the
@@ -140,7 +140,7 @@ func faultTolPoint(tr *obs.Trace, i int, drop float64, trials int, pol attest.Re
 		rig.net.SetFaults(fs)
 		rig.challenger.Meter().Reset()
 		dial := func() (*netsim.Conn, error) { return rig.hostC.Dial("target-host", "app") }
-		conn, cid, _, retries, err := attest.ChallengeRetryTrace(
+		conn, cid, _, retries, err := attest.Challenge(
 			tr, track, rig.challenger, rig.cShim, rig.cState, dial, true, pol)
 		pt.Retries += retries
 		if err == nil {

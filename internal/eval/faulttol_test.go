@@ -78,7 +78,7 @@ func TestSeededScheduleAcceptance(t *testing.T) {
 		defer l.Close()
 		go l.Serve(func(c *netsim.Conn) {
 			defer c.Close()
-			if _, err := attest.Respond(rig.target, rig.tShim, rig.hostT, c); err != nil {
+			if _, err := attest.Respond(nil, "", rig.target, rig.tShim, rig.hostT, c); err != nil {
 				return
 			}
 			for {
@@ -96,8 +96,8 @@ func TestSeededScheduleAcceptance(t *testing.T) {
 		rig.net.SetFaults(fs)
 		defer rig.net.SetFaults(nil)
 		dial := func() (*netsim.Conn, error) { return rig.hostC.Dial("target-host", "app") }
-		conn, _, id, retries, err := attest.ChallengeRetry(
-			rig.challenger, rig.cShim, rig.cState, dial, true, pol)
+		conn, _, id, retries, err := attest.Challenge(
+			nil, "", rig.challenger, rig.cShim, rig.cState, dial, true, pol)
 		if err != nil {
 			t.Fatalf("attestation under partition (replay: %s): %v", fs, err)
 		}
@@ -125,7 +125,7 @@ func TestSeededScheduleAcceptance(t *testing.T) {
 		out.From = "controller"
 		fs := netsim.NewFaultSchedule(13).AddLink(in).AddLink(out).
 			AddPartition(netsim.Partition{A: []string{"as1"}, B: []string{"controller"}, FromMessage: 5, UntilMessage: 15})
-		rep, err := sdnctl.RunSGXFaulted(tp, fs, pol)
+		rep, err := sdnctl.RunSGX(tp, sdnctl.SGXConfig{Faults: fs, Retry: pol})
 		if err != nil {
 			t.Fatalf("SDN run under faults (replay: %s): %v", fs, err)
 		}

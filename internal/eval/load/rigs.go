@@ -70,6 +70,7 @@ func NewTorRig(seed int64, xc *xcall.Config) (*TorRig, error) {
 	for _, o := range tn.ORs {
 		r.meters = append(r.meters, o.Enclave().Meter())
 	}
+	tn.WaitIdle() // the circuit build's last EEXIT is setup, not request 0
 	for _, m := range r.meters {
 		m.Reset()
 	}
@@ -87,6 +88,11 @@ func (r *TorRig) Serve(i int) (core.Tally, error) {
 	if string(resp) != "content:"+req {
 		return t, fmt.Errorf("load: tor reply %d: %q", i, resp)
 	}
+	// The entry relay charges its EEXIT after forwarding the reply, so
+	// the reply can beat that charge to the client; snapshot only once
+	// every relay has finished, or the charge lands in the next
+	// request's tally.
+	r.tn.WaitIdle()
 	for _, m := range r.meters {
 		t = t.Add(m.SnapshotAndReset())
 	}
@@ -316,6 +322,7 @@ func NewSDNRig() (*SDNRig, error) {
 	for _, asl := range r.locals {
 		r.meters = append(r.meters, asl.Enclave.Meter())
 	}
+	ctl.WaitIdle()
 	for _, m := range r.meters {
 		m.Reset()
 	}
@@ -328,6 +335,7 @@ func (r *SDNRig) Serve(i int) (core.Tally, error) {
 	if err := r.locals[i%len(r.locals)].Fetch(); err != nil {
 		return t, err
 	}
+	r.ctl.WaitIdle() // the controller's EEXIT follows its reply
 	for _, m := range r.meters {
 		t = t.Add(m.SnapshotAndReset())
 	}

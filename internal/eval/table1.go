@@ -97,18 +97,14 @@ func newAttestRig() (*attestRig, error) {
 	return r, nil
 }
 
-// run performs one remote attestation and returns the per-role tallies.
-func (r *attestRig) run(wantDH bool) (target, quoting, challenger core.Tally, err error) {
-	return r.runTraced(nil, "", wantDH)
-}
-
-// runTraced is run with the three protocol roles recorded on their own
-// tracks (<base>/target, <base>/quoting, <base>/challenger). Each role's
-// track carries the protocol-round spans plus a run total equal to its
-// meter tally for the run, so the analyzer's attribution closes exactly:
-// every instruction a role charges, it charges inside Respond, the
-// quote-service call, or Challenge.
-func (r *attestRig) runTraced(tr *obs.Trace, trackBase string, wantDH bool) (target, quoting, challenger core.Tally, err error) {
+// run performs one remote attestation and returns the per-role tallies,
+// with the three protocol roles recorded on their own tracks
+// (<base>/target, <base>/quoting, <base>/challenger) when tr is
+// non-nil. Each role's track carries the protocol-round spans plus a run
+// total equal to its meter tally for the run, so the analyzer's
+// attribution closes exactly: every instruction a role charges, it
+// charges inside Respond, the quote-service call, or Challenge.
+func (r *attestRig) run(tr *obs.Trace, trackBase string, wantDH bool) (target, quoting, challenger core.Tally, err error) {
 	r.target.Meter().Reset()
 	r.quoting.Meter().Reset()
 	r.challenger.Meter().Reset()
@@ -128,19 +124,21 @@ func (r *attestRig) runTraced(tr *obs.Trace, trackBase string, wantDH bool) (tar
 			errc <- err
 			return
 		}
-		_, err = attest.RespondTrace(tr, trackBase+"/target", r.target, r.tShim, r.hostT, sc)
+		_, err = attest.Respond(tr, trackBase+"/target", r.target, r.tShim, r.hostT, sc)
 		errc <- err
 	}()
 	conn, err := r.hostC.Dial("target-host", "app")
 	if err != nil {
 		return
 	}
-	if _, _, err = attest.ChallengeTrace(tr, trackBase+"/challenger", r.challenger, r.cShim, conn, wantDH); err != nil {
+	if _, _, _, _, err = attest.Challenge(tr, trackBase+"/challenger", r.challenger, r.cShim, r.cState,
+		attest.Dialed(conn), wantDH, attest.RetryPolicy{}); err != nil {
 		return
 	}
 	if err = <-errc; err != nil {
 		return
 	}
+	r.agentT.WaitIdle()
 	target = r.target.Meter().Snapshot()
 	quoting = r.quoting.Meter().Snapshot()
 	challenger = r.challenger.Meter().Snapshot()
@@ -160,7 +158,7 @@ func Table1Traced(tr *obs.Trace) ([]Table1Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		tt, qt, ct, err := rig.runTraced(tr, fmt.Sprintf("table1/dh=%v", dh), dh)
+		tt, qt, ct, err := rig.run(tr, fmt.Sprintf("table1/dh=%v", dh), dh)
 		if err != nil {
 			return nil, err
 		}

@@ -36,7 +36,7 @@ func Table3Traced(tr *obs.Trace) ([]Table3Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep, err := sdnctl.RunSGXTraced(tp, tr, "table3/sdn")
+	rep, err := sdnctl.RunSGX(tp, sdnctl.SGXConfig{Trace: tr, Track: "table3/sdn"})
 	if err != nil {
 		return nil, err
 	}

@@ -41,10 +41,10 @@ func (r *Runner) table4At(n int, trackBase string) (*Table4Result, error) {
 	}
 	native, sgx, err := pair(r,
 		func() (*sdnctl.RunReport, error) {
-			return sdnctl.RunNativeTraced(tp, r.trace, trackBase+"/native")
+			return sdnctl.RunNative(tp, r.trace, trackBase+"/native")
 		},
 		func() (*sdnctl.RunReport, error) {
-			return sdnctl.RunSGXTraced(tp, r.trace, trackBase+"/sgx")
+			return sdnctl.RunSGX(tp, sdnctl.SGXConfig{Trace: r.trace, Track: trackBase + "/sgx"})
 		},
 	)
 	if err != nil {

@@ -32,7 +32,7 @@ import (
 //	tls    — record sealing/opening in an enclave-hosted codec
 //	         (tlslite.RecordEngine)
 //	quote  — the quoting enclave serving remote attestations
-//	         (sdnctl.RunSGXSwitchlessQuotes)
+//	         (sdnctl.RunSGX with SGXConfig.Xcall)
 //
 // The metric is crossing cycles: SGX(U) instructions × the 10k-cycle
 // SGX instruction price. Batch 1 shows there is no free lunch (every
@@ -212,6 +212,10 @@ func xcallTorRig(tr *obs.Trace, track string, xc *xcall.Config, mc *meterClock, 
 		return err
 	}
 	defer circ.Close()
+	// A relay charges its EEXIT after forwarding, so settle the relays
+	// before each meter boundary: the build's last charge is setup, the
+	// final reply's belongs to the sweep.
+	tn.WaitIdle()
 	meters := make([]*core.Meter, 0, len(tn.ORs))
 	for _, o := range tn.ORs {
 		o.Enclave().Meter().Reset()
@@ -228,6 +232,7 @@ func xcallTorRig(tr *obs.Trace, track string, xc *xcall.Config, mc *meterClock, 
 			return fmt.Errorf("eval: tor rig get %d: %q", i, resp)
 		}
 	}
+	tn.WaitIdle()
 	if err := tn.FlushXcall(); err != nil {
 		return err
 	}
@@ -292,12 +297,7 @@ func xcallQuoteRig(tr *obs.Trace, track string, xc *xcall.Config, pt *XcallSweep
 	if err != nil {
 		return err
 	}
-	var rep *sdnctl.RunReport
-	if xc == nil {
-		rep, err = sdnctl.RunSGX(tp)
-	} else {
-		rep, err = sdnctl.RunSGXSwitchlessQuotes(tp, *xc)
-	}
+	rep, err := sdnctl.RunSGX(tp, sdnctl.SGXConfig{Xcall: xc})
 	if err != nil {
 		return err
 	}

@@ -214,9 +214,9 @@ type ASLocal struct {
 	connID  uint32
 	ctlHost string
 
-	// retry, when set, arms every operation with deadlines and automatic
-	// re-attestation (see SetRetryPolicy).
-	retry *attest.RetryPolicy
+	// retry arms every operation with deadlines and automatic
+	// re-attestation (see SetRetryPolicy); the zero policy does neither.
+	retry attest.RetryPolicy
 
 	// inv, when set, is purged on every channel re-establishment —
 	// verification state cached outside the session table (an RA-TLS
@@ -234,10 +234,11 @@ type ASLocal struct {
 // SetRetryPolicy makes the AS-local controller fault-tolerant: dials and
 // attestations retry with backoff, enclave receives time out instead of
 // blocking forever, and operations that die with the channel re-attest
-// the controller and run again. Without it, behavior is the seed's:
-// block, and fail permanently on the first lost message.
+// the controller and run again. Under the zero policy (the default),
+// behavior is the seed's: block, and fail permanently on the first lost
+// message.
 func (a *ASLocal) SetRetryPolicy(pol attest.RetryPolicy) {
-	a.retry = &pol
+	a.retry = pol
 	a.Shim.SetRecvTimeout(pol.RecvTimeout)
 }
 
@@ -264,32 +265,20 @@ func LaunchASLocal(host *netsim.SimHost, signer *core.Signer, policy *PolicyMsg,
 }
 
 // Connect dials the controller and remote-attests it (with DH: the
-// secure channel carries everything that follows). With a retry policy
-// set, the dial and the 9-message protocol retry under faults.
+// secure channel carries everything that follows). Under a retry policy
+// the dial and the 9-message protocol retry under faults.
 func (a *ASLocal) Connect(controllerHost string) error {
 	a.ctlHost = controllerHost
-	if a.retry != nil {
-		conn, cid, _, retries, err := attest.ChallengeRetry(a.Enclave, a.Shim, a.State.Attest,
-			func() (*netsim.Conn, error) { return a.Host.Dial(controllerHost, ControllerService) },
-			true, *a.retry)
-		a.Retries += retries
-		if err != nil {
-			return fmt.Errorf("sdnctl: AS%d attestation of controller failed: %w", a.ASN, err)
-		}
-		a.conn, a.connID = conn, cid
-		return nil
-	}
-	conn, err := a.Host.Dial(controllerHost, ControllerService)
-	if err != nil {
-		return err
-	}
-	cid, _, err := attest.Challenge(a.Enclave, a.Shim, conn, true)
+	conn, cid, _, retries, err := attest.Challenge(nil, "", a.Enclave, a.Shim, a.State.Attest, a.dial, true, a.retry)
+	a.Retries += retries
 	if err != nil {
 		return fmt.Errorf("sdnctl: AS%d attestation of controller failed: %w", a.ASN, err)
 	}
 	a.conn, a.connID = conn, cid
 	return nil
 }
+
+func (a *ASLocal) dial() (*netsim.Conn, error) { return a.Host.Dial(a.ctlHost, ControllerService) }
 
 // reconnectable classifies operation failures that a fresh attested
 // channel can cure: the transport died, a receive timed out, or the
@@ -301,36 +290,30 @@ func reconnectable(err error) bool {
 		errors.Is(err, attest.ErrNoSession) || errors.Is(err, attest.ErrSessionExpired)
 }
 
-// withReconnect runs op; if it dies with the channel and a retry policy
-// is set, the channel is torn down through attest.Reestablish — pending
-// protocol state, the stored session, and any Invalidator-cached
-// verdicts are destroyed before the fresh challenge runs — and op is
-// retried: the session-expiry/crash recovery loop. Each cycle charges
-// core.CostRetryAttempt plus the re-establishment's own cost (the op's
-// instructions are charged by the op).
+// withReconnect runs op; if it dies with the channel and the retry
+// policy allows more than one attempt, the channel is torn down through
+// attest.Reestablish — pending protocol state, the stored session, and
+// any Invalidator-cached verdicts are destroyed before the fresh
+// challenge runs — and op is retried: the session-expiry/crash recovery
+// loop. Each cycle charges core.CostRetryAttempt plus the
+// re-establishment's own cost (the op's instructions are charged by the
+// op).
 func (a *ASLocal) withReconnect(op func() error) error {
 	err := op()
-	if a.retry == nil || err == nil || !reconnectable(err) {
-		return err
-	}
-	for attempt := 1; attempt < a.retry.Attempts; attempt++ {
+	for attempt := 1; attempt < a.retry.Attempts && err != nil && reconnectable(err); attempt++ {
 		a.Enclave.Meter().ChargeNormal(core.CostRetryAttempt)
 		if a.conn != nil {
 			a.conn.Close()
 		}
 		conn, cid, _, retries, cerr := attest.Reestablish(nil, "", a.Enclave, a.Shim, a.State.Attest,
-			a.connID, a.inv,
-			func() (*netsim.Conn, error) { return a.Host.Dial(a.ctlHost, ControllerService) },
-			true, *a.retry)
+			a.connID, a.inv, a.dial, true, a.retry)
 		a.Retries += retries
 		if cerr != nil {
 			return fmt.Errorf("sdnctl: AS%d re-attestation of controller failed: %w", a.ASN, cerr)
 		}
 		a.conn, a.connID = conn, cid
 		a.Reattests++
-		if err = op(); err == nil || !reconnectable(err) {
-			return err
-		}
+		err = op()
 	}
 	return err
 }

@@ -351,7 +351,7 @@ func (st *ControllerState) Release(cid uint32) {
 func (c *Controller) SetRecvTimeout(d time.Duration) { c.Shim.SetRecvTimeout(d) }
 
 func (c *Controller) serveConn(conn *netsim.Conn) {
-	cid, err := attest.Respond(c.Enclave, c.Shim, c.Host, conn)
+	cid, err := attest.Respond(nil, "", c.Enclave, c.Shim, c.Host, conn)
 	if err != nil {
 		conn.Close()
 		return
@@ -371,6 +371,12 @@ func (c *Controller) serveConn(conn *netsim.Conn) {
 		}
 	}
 }
+
+// WaitIdle blocks until the controller enclave has finished charging
+// for every exchange a client has seen answered: the attestation target
+// tops up its cost after sending the ack, and every handler's EEXIT
+// follows its reply (see core.Enclave.WaitIdle).
+func (c *Controller) WaitIdle() { c.Enclave.WaitIdle() }
 
 // Compute triggers the in-enclave route computation (the untrusted
 // runtime schedules it once all policies are in; the enclave re-checks).

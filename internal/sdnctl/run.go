@@ -15,9 +15,9 @@ import (
 
 // End-to-end deployment drivers for the evaluation: RunSGX and RunNative
 // execute the identical workload (policy upload → compute → route
-// push-back) and report per-controller instruction tallies for the
-// steady state, with launch and attestation excluded exactly as the
-// paper's Table 4 does.
+// push-back) through one phase driver, measure, and report per-controller
+// instruction tallies for the steady state, with launch and attestation
+// excluded exactly as the paper's Table 4 does.
 
 // RunReport is the outcome of one deployment run.
 type RunReport struct {
@@ -47,16 +47,16 @@ type RunReport struct {
 	// the attestation phase — quote serving only, launch excluded. It is
 	// the crossing-cost metric the xcall ablation compares: every quote
 	// costs 17 SGX(U) synchronously (Table 1), fewer when the serve
-	// ECALLs and message OCALLs ride rings (RunSGXSwitchlessQuotes).
+	// ECALLs and message OCALLs ride rings (SGXConfig.Xcall).
 	QuoteServing core.Tally
 	// QuoteXcall is the quoting agent's ring tally when quote serving
 	// runs switchlessly; zero otherwise.
 	QuoteXcall xcall.Stats
 
 	// RATLSCold and RATLSWarm split controller-certificate verifications
-	// when admission runs over attested channels (RunSGXRATLS): one cold
-	// full verification, warm cache hits for every other AS. Zero when
-	// the run does not use RA-TLS.
+	// when admission runs over attested channels (SGXConfig.RATLSShards):
+	// one cold full verification, warm cache hits for every other AS.
+	// Zero when the run does not use RA-TLS.
 	RATLSCold, RATLSWarm uint64
 }
 
@@ -72,68 +72,44 @@ func (r *RunReport) ASLocalAvg() core.Tally {
 	return core.Tally{SGXU: sum.SGXU / uint64(len(r.ASLocal)), Normal: sum.Normal / uint64(len(r.ASLocal))}
 }
 
+// SGXConfig shapes one RunSGX deployment. The zero value is the clean,
+// untraced, synchronous baseline the paper measures.
+type SGXConfig struct {
+	// Faults, when non-nil, is installed before the attestation phase,
+	// so it disturbs the entire run.
+	Faults *netsim.FaultSchedule
+	// Retry arms every controller: attestations retry with backoff,
+	// receives time out, and lost channels are re-attested. The zero
+	// policy blocks and fails on the first loss.
+	Retry attest.RetryPolicy
+	// Trace, when non-nil, records on Track (which must be private to
+	// this run) the spans measure documents; the quoting enclave on the
+	// controller host gets its own "<Track>/qe" track.
+	Trace *obs.Trace
+	Track string
+	// Xcall, when non-nil, has the controller host's quoting enclave
+	// serve switchlessly: serve ECALLs and the QE's message OCALLs ride
+	// rings sized by it, and the message shim charges in batched windows.
+	// The report's QuoteServing/QuoteXcall carry the amortized tally.
+	Xcall *xcall.Config
+	// RATLSShards > 0 gates every AS connection by the controller's
+	// RA-TLS certificate, verified once cold and amortized across the
+	// remaining ASes by a shared cache of that many shards. The report's
+	// RATLSCold/RATLSWarm carry the split.
+	RATLSShards int
+	// After, when non-nil, receives the live controller and AS-local
+	// controllers once routes are installed and the Table 4 measurement
+	// window has closed — for predicate registration/verification (§3.1)
+	// or dynamic reconfiguration.
+	After func(ctl *Controller, locals []*ASLocal) error
+}
+
 // RunSGX deploys the SGX-enabled design on the given topology: one
 // controller host plus one host per AS, all SGX platforms with quoting
 // enclaves; every AS-local controller remote-attests the inter-domain
 // controller (with DH) before uploading its policy.
-func RunSGX(t *topo.Topology) (*RunReport, error) {
-	return RunSGXWithPredicates(t, nil)
-}
-
-// RunSGXWithPredicates runs the SGX deployment and, after routes are
-// installed (and after the Table 4 measurement window closes), hands the
-// live controller and AS-local controllers to extra — for predicate
-// registration/verification (§3.1) or dynamic reconfiguration.
-func RunSGXWithPredicates(t *topo.Topology, extra func(ctl *Controller, locals []*ASLocal) error) (*RunReport, error) {
-	return runSGX(t, nil, nil, extra, nil, "", nil, nil)
-}
-
-// RunSGXTraced is RunSGX with spans on the given track: a "setup" span
-// for everything before the steady-state boundary (drained with
-// Meter.SnapshotAndReset so setup and steady tallies partition exactly),
-// then "phase.upload" / "phase.compute" / "phase.fetch" spans over the
-// controller and AS-local meters, and a "run.total" record carrying the
-// tallies the report publishes. The quoting enclave on the controller
-// host gets its own "<track>/qe" track. The track must be private to
-// this run.
-func RunSGXTraced(t *topo.Topology, tr *obs.Trace, track string) (*RunReport, error) {
-	return runSGX(t, nil, nil, nil, tr, track, nil, nil)
-}
-
-// RunSGXSwitchlessQuotes is RunSGX with the controller host's quoting
-// enclave serving switchlessly: serve ECALLs and the QE's message
-// OCALLs ride xcall rings sized by xc, and the message shim charges in
-// batched windows. The report's QuoteServing/QuoteXcall fields carry
-// the amortized crossing tally the -xcall-sweep ablation compares
-// against the synchronous 17-SGX(U)-per-quote baseline.
-func RunSGXSwitchlessQuotes(t *topo.Topology, xc xcall.Config) (*RunReport, error) {
-	return runSGX(t, nil, nil, nil, nil, "", &xc, nil)
-}
-
-// RunSGXFaulted runs the SGX deployment under a fault schedule with every
-// controller armed by the retry policy: attestations retry with backoff,
-// receives time out, and lost channels are re-attested. The schedule is
-// installed before the attestation phase, so it disturbs the entire run.
-func RunSGXFaulted(t *topo.Topology, fs *netsim.FaultSchedule, pol attest.RetryPolicy) (*RunReport, error) {
-	return runSGX(t, fs, &pol, nil, nil, "", nil, nil)
-}
-
-// RunSGXFaultedTraced is RunSGXFaulted with tracing: in addition to the
-// phase spans, the fault schedule's replay recipe is recorded as a
-// "fault.schedule" event and every engine intervention as a
-// "fault.<kind>" event on "<track>/faults", so the trace of a failing
-// run alone reproduces it (the recipe rebuilds the decision streams,
-// the ticks pin each intervention to the message clock).
-func RunSGXFaultedTraced(t *topo.Topology, fs *netsim.FaultSchedule, pol attest.RetryPolicy, tr *obs.Trace, track string) (*RunReport, error) {
-	if tr != nil && fs != nil {
-		rec := &obs.FaultRecorder{T: tr, Track: track + "/faults"}
-		rec.RecordSchedule(fs.Seed(), fs.String())
-		fs.SetObserver(rec)
-	}
-	return runSGX(t, fs, &pol, nil, tr, track, nil, nil)
-}
-
-func runSGX(t *topo.Topology, fs *netsim.FaultSchedule, pol *attest.RetryPolicy, extra func(ctl *Controller, locals []*ASLocal) error, tr *obs.Trace, track string, xc *xcall.Config, ra *ratlsConfig) (*RunReport, error) {
+func RunSGX(t *topo.Topology, cfg SGXConfig) (*RunReport, error) {
+	tr, track, fs := cfg.Trace, cfg.Track, cfg.Faults
 	n := t.N()
 	net := netsim.New()
 	arch, err := core.NewSigner()
@@ -160,8 +136,8 @@ func runSGX(t *topo.Topology, fs *netsim.FaultSchedule, pol *attest.RetryPolicy,
 		// quoting enclave serves one request at a time — safe on one track.
 		agent.SetTrace(tr, track+"/qe")
 	}
-	if xc != nil {
-		agent.SetXcall(*xc)
+	if cfg.Xcall != nil {
+		agent.SetXcall(*cfg.Xcall)
 	}
 	// QuoteServing measures serving only: drain whatever quoting-enclave
 	// launch charged before any requester connects.
@@ -171,7 +147,7 @@ func runSGX(t *topo.Topology, fs *netsim.FaultSchedule, pol *attest.RetryPolicy,
 		return nil, err
 	}
 	launch, ctlMR := LaunchController, ControllerMeasurement(n)
-	if ra != nil {
+	if cfg.RATLSShards > 0 {
 		launch, ctlMR = LaunchControllerRATLS, ControllerMeasurementRATLS(n)
 	}
 	ctl, err := launch(ctlHost, signer, n)
@@ -185,7 +161,7 @@ func runSGX(t *topo.Topology, fs *netsim.FaultSchedule, pol *attest.RetryPolicy,
 	// amortization the report's RATLSCold/RATLSWarm split shows.
 	var raCert []byte
 	var raVerifier *ratls.Verifier
-	if ra != nil {
+	if cfg.RATLSShards > 0 {
 		mt, err := ratls.NewMinter(ctlHost.Platform(), arch)
 		if err != nil {
 			return nil, err
@@ -197,7 +173,7 @@ func runSGX(t *topo.Topology, fs *netsim.FaultSchedule, pol *attest.RetryPolicy,
 		raVerifier = ratls.NewVerifier(attest.Policy{
 			AllowedEnclaves: []core.Measurement{ctlMR},
 			RejectDebug:     true,
-		}, ra.shards())
+		}, cfg.RATLSShards)
 	}
 	policies := PoliciesFromTopology(t)
 	locals := make([]*ASLocal, n)
@@ -217,11 +193,10 @@ func runSGX(t *topo.Topology, fs *netsim.FaultSchedule, pol *attest.RetryPolicy,
 	// Arm the deployment and install the disturbance plan before any
 	// protocol traffic, so the whole run — attestation included — is
 	// exposed to it.
-	if pol != nil {
-		ctl.SetRecvTimeout(pol.RecvTimeout)
-		for _, asl := range locals {
-			asl.SetRetryPolicy(*pol)
-		}
+	ctl.SetRecvTimeout(cfg.Retry.RecvTimeout)
+	agent.SetRecvTimeout(cfg.Retry.RecvTimeout)
+	for _, asl := range locals {
+		asl.SetRetryPolicy(cfg.Retry)
 	}
 	if fs != nil {
 		net.SetFaults(fs)
@@ -243,6 +218,13 @@ func runSGX(t *topo.Topology, fs *netsim.FaultSchedule, pol *attest.RetryPolicy,
 		if err := asl.Connect("controller"); err != nil {
 			return nil, err
 		}
+		// The controller and its quoting enclave top up an attestation's
+		// cost after their last message, measured as the growth of their
+		// meters since it began: let the top-ups land before the next AS
+		// starts charging the same meters (and, after the last AS, before
+		// the steady state begins).
+		ctl.WaitIdle()
+		agent.WaitIdle()
 		attestations++
 		tr.Event(track, "attest.established", map[string]string{"as": fmt.Sprint(asl.ASN)})
 	}
@@ -258,96 +240,41 @@ func runSGX(t *topo.Topology, fs *netsim.FaultSchedule, pol *attest.RetryPolicy,
 	quoteServing := agent.QE.Meter().Snapshot()
 	quoteXcall := agent.XcallStats()
 
-	// Steady state begins here: drain every meter so launch/attestation
-	// costs are excluded, as in Table 4. SnapshotAndReset (not
-	// Snapshot+Reset) guarantees setup and steady tallies partition the
-	// meters' lifetime consumption exactly, which is what lets the trace
-	// attribute the whole run; the drained tallies become the "setup"
-	// span.
-	var setup core.Tally
-	setup = setup.Add(ctl.Enclave.Meter().SnapshotAndReset())
-	for _, asl := range locals {
-		setup = setup.Add(asl.Enclave.Meter().SnapshotAndReset())
-	}
-	tr.RecordSpan(track, "setup", setup)
-
-	// The steady-state phase spans watch every reported meter, so their
-	// three deltas sum exactly to the tallies the report publishes.
-	meters := make([]*core.Meter, 0, n+1)
-	meters = append(meters, ctl.Enclave.Meter())
-	for _, asl := range locals {
+	meters := []*core.Meter{ctl.Enclave.Meter()}
+	legs := make([]asLeg, n)
+	for i, asl := range locals {
 		meters = append(meters, asl.Enclave.Meter())
+		legs[i] = asl
 	}
-
-	sp := tr.Begin(track, "phase.upload", meters...)
-	for _, asl := range locals {
-		if err := asl.Upload(); err != nil {
-			return nil, err
-		}
-	}
-	sp.End()
-	sp = tr.Begin(track, "phase.compute", meters...)
-	if err := ctl.Compute(); err != nil {
+	rep, err := measure(tr, track, meters, ctl, legs)
+	if err != nil {
 		return nil, err
 	}
-	sp.End()
-	sp = tr.Begin(track, "phase.fetch", meters...)
+	rep.Attestations = attestations
+	rep.Stats = ctl.State.Stats()
+	rep.RIBs = ctl.State.RIBs()
+	rep.QuoteServing, rep.QuoteXcall = quoteServing, quoteXcall
+	rep.RATLSCold, rep.RATLSWarm = raStats.Cold, raStats.Warm
 	for _, asl := range locals {
-		if err := asl.Fetch(); err != nil {
-			return nil, err
-		}
-	}
-	sp.End()
-
-	rep := &RunReport{
-		N:            n,
-		InterDomain:  ctl.Enclave.Meter().Snapshot(),
-		Attestations: attestations,
-		Stats:        ctl.State.Stats(),
-		RIBs:         ctl.State.RIBs(),
-		Installed:    make(map[int][]bgp.Route, n),
-		QuoteServing: quoteServing,
-		QuoteXcall:   quoteXcall,
-		RATLSCold:    raStats.Cold,
-		RATLSWarm:    raStats.Warm,
-	}
-	for _, asl := range locals {
-		rep.ASLocal = append(rep.ASLocal, asl.Enclave.Meter().Snapshot())
 		rep.Installed[asl.ASN] = asl.State.Installed()
 		rep.Retries += asl.Retries
 		rep.Reattests += asl.Reattests
 	}
-	if tr != nil {
-		// The independently-reported total the analyzer attributes spans
-		// against: everything the published meters consumed, setup
-		// included.
-		total := setup.Add(rep.InterDomain)
-		for _, t := range rep.ASLocal {
-			total = total.Add(t)
-		}
-		tr.Total(track, "run.total", total)
-	}
 	if fs != nil {
 		rep.FaultStats = fs.Stats()
 	}
-	if extra != nil {
-		if err := extra(ctl, locals); err != nil {
+	if cfg.After != nil {
+		if err := cfg.After(ctl, locals); err != nil {
 			return nil, err
 		}
 	}
 	return rep, nil
 }
 
-// RunNative deploys the baseline on the same workload.
-func RunNative(t *topo.Topology) (*RunReport, error) {
-	return RunNativeTraced(t, nil, "")
-}
-
-// RunNativeTraced is RunNative with the same span structure as
-// RunSGXTraced (setup drain, three phase spans over the reported host
-// meters, run.total record) so native and SGX legs compare phase by
-// phase in sgxnet-trace.
-func RunNativeTraced(t *topo.Topology, tr *obs.Trace, track string) (*RunReport, error) {
+// RunNative deploys the baseline on the same workload, through the
+// same phase driver as RunSGX, so native and SGX legs compare phase by
+// phase in sgxnet-trace. A nil trace records nothing.
+func RunNative(t *topo.Topology, tr *obs.Trace, track string) (*RunReport, error) {
 	n := t.N()
 	net := netsim.New()
 	ctlHost, err := net.AddHost("controller", core.PlatformConfig{EPCFrames: 64})
@@ -376,56 +303,97 @@ func RunNativeTraced(t *topo.Topology, tr *obs.Trace, track string) (*RunReport,
 		}
 	}
 
-	var setup core.Tally
-	setup = setup.Add(ctlHost.Platform().HostMeter.SnapshotAndReset())
+	meters := []*core.Meter{ctlHost.Platform().HostMeter}
+	legs := make([]asLeg, n)
+	for i, asl := range locals {
+		meters = append(meters, asl.Host.Platform().HostMeter)
+		legs[i] = asl
+	}
+	rep, err := measure(tr, track, meters, ctl, legs)
+	if err != nil {
+		return nil, err
+	}
+	rep.Stats = ctl.State.Stats()
+	rep.RIBs = ctl.State.RIBs()
 	for _, asl := range locals {
-		setup = setup.Add(asl.Host.Platform().HostMeter.SnapshotAndReset())
+		rep.Installed[asl.ASN] = asl.Installed()
+	}
+	return rep, nil
+}
+
+// asLeg is an AS-local controller as the phase driver sees it: the SGX
+// *ASLocal and the baseline *NativeASLocal both qualify.
+type asLeg interface {
+	Upload() error
+	Fetch() error
+}
+
+// interDomain is the inter-domain controller as the phase driver sees
+// it: the SGX *Controller and the baseline *NativeController both
+// qualify.
+type interDomain interface {
+	Compute() error
+	WaitIdle()
+}
+
+// measure runs the steady-state workload RunSGX and RunNative share and
+// starts the report. meters[0] is the inter-domain controller's meter
+// and meters[1:] the AS-local controllers', in legs order. Whatever the
+// meters hold on entry (launch, attestation) is drained into a "setup"
+// span with SnapshotAndReset — not Snapshot+Reset — so setup and steady
+// tallies partition the meters' lifetime consumption exactly, which is
+// what lets the trace attribute the whole run. The "phase.upload",
+// "phase.compute" and "phase.fetch" spans watch every meter, so their
+// deltas sum exactly to the tallies the report publishes, and a
+// "run.total" record carries everything the meters consumed, setup
+// included: the independently-reported total the analyzer attributes
+// spans against. Each phase ends only once the controller is idle, so a
+// charge it makes after replying stays in the phase that caused it.
+func measure(tr *obs.Trace, track string, meters []*core.Meter, ctl interDomain, legs []asLeg) (*RunReport, error) {
+	var setup core.Tally
+	for _, m := range meters {
+		setup = setup.Add(m.SnapshotAndReset())
 	}
 	tr.RecordSpan(track, "setup", setup)
 
-	meters := make([]*core.Meter, 0, n+1)
-	meters = append(meters, ctlHost.Platform().HostMeter)
-	for _, asl := range locals {
-		meters = append(meters, asl.Host.Platform().HostMeter)
+	each := func(op func(asLeg) error) func() error {
+		return func() error {
+			for _, l := range legs {
+				if err := op(l); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
 	}
-
-	sp := tr.Begin(track, "phase.upload", meters...)
-	for _, asl := range locals {
-		if err := asl.Upload(); err != nil {
+	for _, ph := range []struct {
+		name string
+		run  func() error
+	}{
+		{"phase.upload", each(asLeg.Upload)},
+		{"phase.compute", ctl.Compute},
+		{"phase.fetch", each(asLeg.Fetch)},
+	} {
+		sp := tr.Begin(track, ph.name, meters...)
+		err := ph.run()
+		ctl.WaitIdle()
+		sp.End()
+		if err != nil {
 			return nil, err
 		}
 	}
-	sp.End()
-	sp = tr.Begin(track, "phase.compute", meters...)
-	if err := ctl.Compute(); err != nil {
-		return nil, err
-	}
-	sp.End()
-	sp = tr.Begin(track, "phase.fetch", meters...)
-	for _, asl := range locals {
-		if err := asl.Fetch(); err != nil {
-			return nil, err
-		}
-	}
-	sp.End()
 
 	rep := &RunReport{
-		N:           n,
-		InterDomain: ctlHost.Platform().HostMeter.Snapshot(),
-		Stats:       ctl.State.Stats(),
-		RIBs:        ctl.State.RIBs(),
-		Installed:   make(map[int][]bgp.Route, n),
+		N:           len(legs),
+		InterDomain: meters[0].Snapshot(),
+		Installed:   make(map[int][]bgp.Route, len(legs)),
 	}
-	for _, asl := range locals {
-		rep.ASLocal = append(rep.ASLocal, asl.Host.Platform().HostMeter.Snapshot())
-		rep.Installed[asl.ASN] = asl.Installed()
+	total := setup.Add(rep.InterDomain)
+	for _, m := range meters[1:] {
+		t := m.Snapshot()
+		rep.ASLocal = append(rep.ASLocal, t)
+		total = total.Add(t)
 	}
-	if tr != nil {
-		total := setup.Add(rep.InterDomain)
-		for _, t := range rep.ASLocal {
-			total = total.Add(t)
-		}
-		tr.Total(track, "run.total", total)
-	}
+	tr.Total(track, "run.total", total)
 	return rep, nil
 }

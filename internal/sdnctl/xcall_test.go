@@ -17,7 +17,7 @@ func TestSwitchlessQuoteServingAmortizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	syncRep, err := RunSGX(tp)
+	syncRep, err := RunSGX(tp, SGXConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func TestSwitchlessQuoteServingAmortizes(t *testing.T) {
 	if syncRep.QuoteServing.SGXU == 0 {
 		t.Fatal("sync run reported no quote-serving crossings")
 	}
-	swlRep, err := RunSGXSwitchlessQuotes(tp, xcall.Config{Batch: 16, SpinBudget: 64})
+	swlRep, err := RunSGX(tp, SGXConfig{Xcall: &xcall.Config{Batch: 16, SpinBudget: 64}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,11 +53,11 @@ func TestSwitchlessQuoteServingDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	xc := xcall.Config{Batch: 4, SpinBudget: 4}
-	r1, err := RunSGXSwitchlessQuotes(tp, xc)
+	r1, err := RunSGX(tp, SGXConfig{Xcall: &xc})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := RunSGXSwitchlessQuotes(tp, xc)
+	r2, err := RunSGX(tp, SGXConfig{Xcall: &xc})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math/big"
 	"math/rand"
-	"time"
 
 	"sgxnet/internal/attest"
 	"sgxnet/internal/core"
@@ -53,10 +52,9 @@ type Client struct {
 	meter   *core.Meter
 	rng     *rand.Rand
 
-	// retry, when set, arms every network operation with deadlines and
-	// bounded retries (see SetRetryPolicy).
-	retry       *attest.RetryPolicy
-	recvTimeout time.Duration
+	// retry arms every network operation with deadlines and bounded
+	// retries (see SetRetryPolicy); the zero policy does neither.
+	retry attest.RetryPolicy
 
 	// Attestations counts remote attestations this client performed
 	// (Table 3's "Tor network (Client)" row: one per authority).
@@ -70,11 +68,10 @@ type Client struct {
 // SetRetryPolicy makes the client fault-tolerant: directory fetches and
 // OR attestations retry with backoff, cell receives time out instead of
 // blocking forever, and failed circuit builds re-pick a path around the
-// relay they blame. Without it, behavior is the seed's: block, and fail
-// permanently on the first lost message.
+// relay they blame. Under the zero policy (the default), behavior is the
+// seed's: block, and fail permanently on the first lost message.
 func (c *Client) SetRetryPolicy(pol attest.RetryPolicy) {
-	c.retry = &pol
-	c.recvTimeout = pol.RecvTimeout
+	c.retry = pol
 	if c.shim != nil {
 		c.shim.SetRecvTimeout(pol.RecvTimeout)
 	}
@@ -84,7 +81,7 @@ func (c *Client) SetRetryPolicy(pol attest.RetryPolicy) {
 // timeout's busy-wait cost when it expires (same accounting as the
 // enclave I/O shim).
 func (c *Client) recv(conn *netsim.Conn) ([]byte, error) {
-	raw, err := conn.RecvTimeout(c.recvTimeout)
+	raw, err := conn.RecvTimeout(c.retry.RecvTimeout)
 	if errors.Is(err, netsim.ErrTimeout) {
 		c.meter.ChargeNormal(core.CostRecvTimeout)
 	}
@@ -186,21 +183,8 @@ func (c *Client) FetchConsensus(authorityHosts []string) ([]Descriptor, error) {
 
 func (c *Client) fetchOne(authorityHost string) ([]Descriptor, error) {
 	var conn *netsim.Conn
-	if c.SGX && c.retry != nil {
-		dial := func() (*netsim.Conn, error) {
-			cn, err := c.Host.Dial(authorityHost, DirService)
-			if err != nil {
-				return nil, err
-			}
-			if err := cn.Send([]byte("attest")); err != nil {
-				cn.Close()
-				return nil, err
-			}
-			return cn, nil
-		}
-		cn, _, _, retries, err := attest.ChallengeRetry(c.enclave, c.shim, c.cstate, dial, true, *c.retry)
-		c.Retries += retries
-		c.Attestations += 1 + retries
+	if c.SGX {
+		cn, err := c.dialAttested(authorityHost, DirService)
 		if err != nil {
 			return nil, fmt.Errorf("tor: authority %s failed attestation: %w", authorityHost, err)
 		}
@@ -211,17 +195,6 @@ func (c *Client) fetchOne(authorityHost string) ([]Descriptor, error) {
 			return nil, err
 		}
 		conn = cn
-		if c.SGX {
-			if err := conn.Send([]byte("attest")); err != nil {
-				conn.Close()
-				return nil, err
-			}
-			c.Attestations++
-			if _, _, err := attest.Challenge(c.enclave, c.shim, conn, true); err != nil {
-				conn.Close()
-				return nil, fmt.Errorf("tor: authority %s failed attestation: %w", authorityHost, err)
-			}
-		}
 	}
 	defer conn.Close()
 	if err := conn.Send([]byte("consensus")); err != nil {
@@ -234,6 +207,28 @@ func (c *Client) fetchOne(authorityHost string) ([]Descriptor, error) {
 	return decodeDescriptors(raw)
 }
 
+// dialAttested dials service on host, announces an attestation, and
+// remote-attests the enclave behind it under the client's retry policy,
+// returning the attested connection. Every protocol run counts toward
+// Attestations and every retry toward Retries.
+func (c *Client) dialAttested(host, service string) (*netsim.Conn, error) {
+	dial := func() (*netsim.Conn, error) {
+		cn, err := c.Host.Dial(host, service)
+		if err != nil {
+			return nil, err
+		}
+		if err := cn.Send([]byte("attest")); err != nil {
+			cn.Close()
+			return nil, err
+		}
+		return cn, nil
+	}
+	conn, _, _, retries, err := attest.Challenge(nil, "", c.enclave, c.shim, c.cstate, dial, true, c.retry)
+	c.Retries += retries
+	c.Attestations += 1 + retries
+	return conn, err
+}
+
 // AttestOR remote-attests an onion router directly (fully SGX-enabled
 // setting: clients verify relays by hardware, no directory votes
 // needed).
@@ -241,39 +236,11 @@ func (c *Client) AttestOR(d Descriptor) error {
 	if !c.SGX {
 		return fmt.Errorf("tor: non-SGX client cannot attest")
 	}
-	if c.retry != nil {
-		dial := func() (*netsim.Conn, error) {
-			cn, err := c.Host.Dial(d.Host, ORService)
-			if err != nil {
-				return nil, err
-			}
-			if err := cn.Send([]byte("attest")); err != nil {
-				cn.Close()
-				return nil, err
-			}
-			return cn, nil
-		}
-		conn, _, _, retries, err := attest.ChallengeRetry(c.enclave, c.shim, c.cstate, dial, true, *c.retry)
-		c.Retries += retries
-		c.Attestations += 1 + retries
-		if err != nil {
-			return fmt.Errorf("tor: OR %s failed attestation: %w", d.Name, err)
-		}
-		conn.Close()
-		return nil
-	}
-	conn, err := c.Host.Dial(d.Host, ORService)
+	conn, err := c.dialAttested(d.Host, ORService)
 	if err != nil {
-		return err
-	}
-	defer conn.Close()
-	if err := conn.Send([]byte("attest")); err != nil {
-		return err
-	}
-	c.Attestations++
-	if _, _, err := attest.Challenge(c.enclave, c.shim, conn, true); err != nil {
 		return fmt.Errorf("tor: OR %s failed attestation: %w", d.Name, err)
 	}
+	conn.Close()
 	return nil
 }
 
@@ -460,29 +427,17 @@ func filterDescriptors(ds []Descriptor, excluded map[string]bool) []Descriptor {
 // Blamed relays are excluded from subsequent picks for the duration of
 // the call (blame is forgiven if it starves the pool — a wrong guess
 // must not make the build impossible). Each retry charges
-// core.CostRetryAttempt. Without a retry policy it is a single-shot
+// core.CostRetryAttempt. Under the zero policy it is a single-shot
 // pick-and-build.
 func (c *Client) BuildCircuitRetry(consensus []Descriptor, length int, destService string) (*Circuit, error) {
-	if c.retry == nil {
-		path, err := c.PickPathFor(consensus, length, destService)
-		if err != nil {
-			return nil, err
-		}
-		return c.BuildCircuit(path)
-	}
-	pol := *c.retry
-	backoff := pol.Backoff
+	attempts := max(c.retry.Attempts, 1)
 	excluded := make(map[string]bool)
 	var lastErr error
-	for attempt := 0; attempt < pol.Attempts; attempt++ {
+	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 {
 			c.meter.ChargeNormal(core.CostRetryAttempt)
 			c.Retries++
-			time.Sleep(backoff)
-			backoff *= 2
-			if backoff > pol.BackoffMax {
-				backoff = pol.BackoffMax
-			}
+			c.retry.Pause(attempt)
 		}
 		path, err := c.PickPathFor(filterDescriptors(consensus, excluded), length, destService)
 		if err != nil {
@@ -503,7 +458,7 @@ func (c *Client) BuildCircuitRetry(consensus []Descriptor, length int, destServi
 		}
 		lastErr = err
 	}
-	return nil, fmt.Errorf("tor: circuit build failed after %d attempts: %w", pol.Attempts, lastErr)
+	return nil, fmt.Errorf("tor: circuit build failed after %d attempts: %w", attempts, lastErr)
 }
 
 // RebuildCircuit tears down a dead circuit and builds a replacement —

@@ -279,6 +279,18 @@ func (tn *TorNet) FlushXcall() error {
 	return nil
 }
 
+// WaitIdle blocks until no SGX OR is still inside its enclave: call it
+// after a request's reply arrives and before snapshotting relay meters,
+// since a relay charges its EEXIT after forwarding the reply (see
+// core.Enclave.WaitIdle).
+func (tn *TorNet) WaitIdle() {
+	for _, o := range tn.ORs {
+		if o.enclave != nil {
+			o.enclave.WaitIdle()
+		}
+	}
+}
+
 // XcallStats sums ring tallies across all ORs (zero when synchronous).
 func (tn *TorNet) XcallStats() xcall.Stats {
 	var st xcall.Stats

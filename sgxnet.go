@@ -126,12 +126,13 @@ func NewIOShim(h *Host, m *Meter) *IOShim { return netsim.NewIOShim(h, m) }
 // Challenge drives the challenger side of a remote attestation over
 // conn; on success the enclave holds a Session for the returned connID.
 func Challenge(enc *Enclave, shim *IOShim, conn *Conn, wantDH bool) (uint32, Identity, error) {
-	return attest.Challenge(enc, shim, conn, wantDH)
+	_, cid, id, _, err := attest.Challenge(nil, "", enc, shim, nil, attest.Dialed(conn), wantDH, attest.RetryPolicy{})
+	return cid, id, err
 }
 
 // Respond drives the target side of a remote attestation over conn.
 func Respond(enc *Enclave, shim *IOShim, host *Host, conn *Conn) (uint32, error) {
-	return attest.Respond(enc, shim, host, conn)
+	return attest.Respond(nil, "", enc, shim, host, conn)
 }
 
 // CyclesOf converts an instruction tally to estimated CPU cycles with
