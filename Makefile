@@ -1,6 +1,6 @@
 # Convenience targets; CI runs the same commands directly.
 
-.PHONY: build test race bench bench-smoke bench-gate tables trace series
+.PHONY: build test race bench bench-smoke tables trace series
 
 build:
 	go build ./...
@@ -11,24 +11,17 @@ test:
 race:
 	go test -race ./...
 
-# bench regenerates BENCH_results.json — the committed perf baseline.
-# Run it on an idle machine; the JSON records GOMAXPROCS and the date.
+# bench runs each sgxbench workload once (BENCHMARK.json declares
+# them): end-to-end metrics on stdout, per-layer metrics with --trace 1.
 bench:
-	go run ./cmd/benchjson -out BENCH_results.json
+	for w in transcript ratls-admit nfchain-imix; do \
+		bash sgxbench/run.sh --workload $$w --seed 1 --seconds 20 --trace 0 || exit 1; \
+	done
 
 # bench-smoke is the CI guard: every benchmark must still run (one
 # iteration each), without asserting anything about its speed.
 bench-smoke:
 	go test -run '^$$' -bench=. -benchtime=1x ./...
-
-# bench-gate runs the six headline benchmarks fresh and fails if any
-# regressed past 25% of the committed BENCH_baseline.json. Run on the
-# same class of machine as the baseline; CI uses a wider threshold
-# because two of the six metrics are wall-clock.
-bench-gate:
-	go run ./cmd/benchjson -out /tmp/bench-gate.json -benchtime 1x \
-		-pattern 'FullSweep|ScaleSweep|LoadSweep|XcallSweep|RATLSSweep|ChainSweep'
-	go run ./cmd/benchjson -gate -results /tmp/bench-gate.json
 
 tables:
 	go run ./cmd/sgxnet-tables

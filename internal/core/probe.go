@@ -15,8 +15,9 @@ import "sync/atomic"
 //
 // Probes must be safe for concurrent use. A nil probe (the default) is
 // free: every call site is a single atomic load and a branch, which is
-// what keeps the tracing-disabled benchmark budget (<2% on
-// BenchmarkFullSweep) honest.
+// what keeps an untraced run the cheap baseline that sgxbench's
+// trace_overhead_frac (traced over untraced run time, minus 1) is
+// measured against.
 
 // Probe observes named occurrences: kind is a stable dotted name (e.g.
 // "sgx.instr.EENTER", "epc.ewb", "enclave.alloc"), n the occurrence

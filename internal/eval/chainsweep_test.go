@@ -2,15 +2,24 @@ package eval
 
 import "testing"
 
-// TestChainSweepShape checks the two claims the sweep exists to pin:
+var chainSerial = serialSweep((*Runner).ChainSweep)
+
+// TestChainSweepShape holds a serial run to chainSweepShape.
+func TestChainSweepShape(t *testing.T) {
+	checkShape(t, chainSerial, chainSweepShape)
+}
+
+// TestChainSweepDeterministic checks the workers-equivalence contract
+// that the CLI golden relies on.
+func TestChainSweepDeterministic(t *testing.T) {
+	checkDeterministic(t, chainSerial, (*Runner).ChainSweep, 8)
+}
+
+// chainSweepShape checks the two claims the sweep exists to pin:
 // batching amortizes the per-hop crossing bill below the synchronous
 // cost at every (depth, rules) cell, and at depth 8 the rule table —
 // not the crossings — dominates the per-packet cost.
-func TestChainSweepShape(t *testing.T) {
-	pts, err := NewRunner(0).ChainSweep()
-	if err != nil {
-		t.Fatal(err)
-	}
+func chainSweepShape(t *testing.T, pts []ChainSweepPoint) {
 	want := len(chainSweepGrid.depths) * len(chainSweepGrid.rules) * (1 + len(chainSweepGrid.batches))
 	if len(pts) != want {
 		t.Fatalf("got %d points, want %d", len(pts), want)
@@ -82,26 +91,5 @@ func TestChainSweepShape(t *testing.T) {
 	if small, big := sgx[key{8, 16, 64}], sgx[key{8, 4096, 64}]; big.PerPacket <= 2*small.PerPacket {
 		t.Errorf("depth=8 batch=64: rules=4096 per-packet %d not >2x rules=16 per-packet %d",
 			big.PerPacket, small.PerPacket)
-	}
-}
-
-// TestChainSweepDeterministic checks the workers-equivalence contract
-// that the CLI golden relies on.
-func TestChainSweepDeterministic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the sweep twice; slow under -short")
-	}
-	a, err := NewRunner(1).ChainSweep()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewRunner(8).ChainSweep()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Errorf("point %d diverged at -workers 8:\n%+v\n%+v", i, a[i], b[i])
-		}
 	}
 }

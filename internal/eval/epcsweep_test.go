@@ -4,15 +4,25 @@ import (
 	"testing"
 )
 
-// TestEPCSweepShape checks the paper-shaped property the sweep exists
+var epcSerial = serialSweep((*Runner).EPCSweep)
+
+// TestEPCSweepShape holds a serial run to epcSweepShape.
+func TestEPCSweepShape(t *testing.T) {
+	checkShape(t, epcSerial, epcSweepShape)
+}
+
+// TestEPCSweepDeterministic checks the determinism contract: two
+// independent runs — and a serial vs oversubscribed-parallel pair —
+// produce identical points, stats and all.
+func TestEPCSweepDeterministic(t *testing.T) {
+	checkDeterministic(t, epcSerial, (*Runner).EPCSweep, 1, 8)
+}
+
+// epcSweepShape checks the paper-shaped property the sweep exists
 // to demonstrate: per-op overhead is flat while working sets fit the
 // EPC and grows once the working-set/share ratio crosses 1.0 — under
 // every tenant count and every eviction policy.
-func TestEPCSweepShape(t *testing.T) {
-	pts, err := NewRunner(0).EPCSweep()
-	if err != nil {
-		t.Fatal(err)
-	}
+func epcSweepShape(t *testing.T, pts []EPCSweepPoint) {
 	wantPoints := len(epcSweepGrid.tenants) * len(epcSweepGrid.ratios) * len(epcSweepGrid.policies)
 	if len(pts) != wantPoints {
 		t.Fatalf("got %d points, want %d", len(pts), wantPoints)
@@ -44,35 +54,6 @@ func TestEPCSweepShape(t *testing.T) {
 		}
 		if first.Stats.Evictions != 0 {
 			t.Errorf("%s: working set within share still evicted: %+v", k, first.Stats)
-		}
-	}
-}
-
-// TestEPCSweepDeterministic checks the determinism contract: two
-// independent runs — and a serial vs oversubscribed-parallel pair —
-// produce identical points, stats and all.
-func TestEPCSweepDeterministic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the sweep three times; slow under -short")
-	}
-	a, err := NewRunner(1).EPCSweep()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewRunner(1).EPCSweep()
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := NewRunner(8).EPCSweep()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Errorf("point %d diverged between serial runs:\n%+v\n%+v", i, a[i], b[i])
-		}
-		if a[i] != c[i] {
-			t.Errorf("point %d diverged at -workers 8:\n%+v\n%+v", i, a[i], c[i])
 		}
 	}
 }

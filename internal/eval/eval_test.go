@@ -2,7 +2,9 @@ package eval
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -12,6 +14,51 @@ func within(t *testing.T, name string, got, want uint64, pctTol uint64) {
 	hi := want * (100 + pctTol) / 100
 	if got < lo || got > hi {
 		t.Errorf("%s = %d, want %d ±%d%%", name, got, want, pctTol)
+	}
+}
+
+// serialSweep memoizes one serial (NewRunner(1)) run of a sweep, so
+// that sweep's Shape and Deterministic tests share it: the sweep runs
+// once for the shape checks and once more per workers size.
+func serialSweep[P any](sweep func(*Runner) ([]P, error)) func() ([]P, error) {
+	return sync.OnceValues(func() ([]P, error) { return sweep(NewRunner(1)) })
+}
+
+// checkShape holds the memoized serial run to shape.
+func checkShape[P any](t *testing.T, serial func() ([]P, error), shape func(*testing.T, []P)) {
+	t.Helper()
+	pts, err := serial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	shape(t, pts)
+}
+
+// checkDeterministic reruns sweep on a Runner of each workers size and
+// requires every point to match the memoized serial run exactly.
+func checkDeterministic[P comparable](t *testing.T, serial func() ([]P, error), sweep func(*Runner) ([]P, error), workers ...int) {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("reruns the sweep; slow under -short")
+	}
+	a, err := serial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range workers {
+		b, err := sweep(NewRunner(w))
+		if err != nil {
+			t.Fatal(err)
+		}
+		where := fmt.Sprintf("at -workers %d", w)
+		if w == 1 {
+			where = "between serial runs"
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				t.Errorf("point %d diverged %s:\n%+v\n%+v", i, where, a[i], b[i])
+			}
+		}
 	}
 }
 

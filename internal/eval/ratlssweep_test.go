@@ -4,16 +4,26 @@ import (
 	"testing"
 )
 
-// TestRATLSSweepShape checks the claim the sweep exists to demonstrate:
+var ratlsSerial = serialSweep((*Runner).RATLSSweep)
+
+// TestRATLSSweepShape holds a serial run to ratlsSweepShape.
+func TestRATLSSweepShape(t *testing.T) {
+	checkShape(t, ratlsSerial, ratlsSweepShape)
+}
+
+// TestRATLSSweepDeterministic checks the determinism contract: serial
+// runs repeat exactly and an oversubscribed-parallel run matches, warm
+// phase concurrency notwithstanding.
+func TestRATLSSweepDeterministic(t *testing.T) {
+	checkDeterministic(t, ratlsSerial, (*Runner).RATLSSweep, 1, 8)
+}
+
+// ratlsSweepShape checks the claim the sweep exists to demonstrate:
 // every cell pays exactly one cold verification per distinct peer and
 // admits everything else warm, the SGX gate adds its crossings on top,
 // and at 10^6 clients the warm per-connection cost is under 5% of the
 // cold cost — the amortization acceptance bar.
-func TestRATLSSweepShape(t *testing.T) {
-	pts, err := NewRunner(0).RATLSSweep()
-	if err != nil {
-		t.Fatal(err)
-	}
+func ratlsSweepShape(t *testing.T, pts []RATLSSweepPoint) {
 	want := len(ratlsSweepGrid.modes) * len(ratlsSweepGrid.shards) * len(ratlsSweepGrid.clients)
 	if len(pts) != want {
 		t.Fatalf("got %d points, want %d", len(pts), want)
@@ -44,34 +54,5 @@ func TestRATLSSweepShape(t *testing.T) {
 	if coldPerConn["sgx"] <= coldPerConn["native"] {
 		t.Errorf("sgx cold/conn %d does not exceed native %d — the gate's crossings vanished",
 			coldPerConn["sgx"], coldPerConn["native"])
-	}
-}
-
-// TestRATLSSweepDeterministic checks the determinism contract: serial
-// runs repeat exactly and an oversubscribed-parallel run matches, warm
-// phase concurrency notwithstanding.
-func TestRATLSSweepDeterministic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the sweep three times; slow under -short")
-	}
-	a, err := NewRunner(1).RATLSSweep()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewRunner(1).RATLSSweep()
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := NewRunner(8).RATLSSweep()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Errorf("point %d diverged between serial runs:\n%+v\n%+v", i, a[i], b[i])
-		}
-		if a[i] != c[i] {
-			t.Errorf("point %d diverged at -workers 8:\n%+v\n%+v", i, a[i], c[i])
-		}
 	}
 }

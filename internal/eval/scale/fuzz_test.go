@@ -50,7 +50,7 @@ func FuzzScaleSpec(f *testing.F) {
 		if s.Hosts > 512 || s.Ops() > 2048 || len(s.Edges) > 64 {
 			return
 		}
-		r, err := Run(s)
+		r, err := RunSampled(s, nil)
 		if err != nil {
 			t.Fatalf("valid small spec failed to run: %q: %v", in, err)
 		}

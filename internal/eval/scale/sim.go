@@ -8,7 +8,7 @@ import (
 	"sgxnet/internal/sdnctl"
 )
 
-// The state machines. One Run drives every operation of a cell through
+// The state machines. One RunSampled drives every operation of a cell through
 // a single-threaded des.Kernel: hosts are array slots (a busy-until
 // clock each), flows are packed uint64 event arguments, and the only
 // allocations on the hot path are the kernel's heap slots — no
@@ -120,20 +120,17 @@ func (r Result) MeanLatency() uint64 {
 	return r.LatencySum / uint64(r.Ops)
 }
 
-// Run simulates one cell to completion. Deterministic: the same spec
-// produces a byte-identical Result on every run, at any worker count —
-// the kernel is private to the call and single-threaded.
-func Run(sp Spec) (Result, error) {
-	return RunSampled(sp, nil)
-}
-
-// RunSampled is Run with the windowed-metrics layer attached: the
-// kernel samples events-per-window and heap backlog at every pop, and
-// the SDN machine additionally samples the serialized inter-domain
+// RunSampled simulates one cell to completion. Deterministic: the same
+// spec produces a byte-identical Result on every run, at any worker
+// count — the kernel is private to the call and single-threaded.
+//
+// sm, if non-nil, attaches the windowed-metrics layer: the kernel
+// samples events-per-window and heap backlog at every pop, and the SDN
+// machine additionally samples the serialized inter-domain
 // controller's queueing delay (busy-until minus now — the signal that
 // grows without bound when the controller saturates). Timestamps are
 // the kernel's own virtual clock, so the series are as deterministic as
-// the Result. sm may be nil (identical to Run).
+// the Result.
 func RunSampled(sp Spec, sm des.Sampler) (Result, error) {
 	if err := sp.Validate(); err != nil {
 		return Result{}, err

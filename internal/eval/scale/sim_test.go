@@ -11,7 +11,7 @@ func mustRun(t *testing.T, spec string) Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Run(s)
+	r, err := RunSampled(s, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

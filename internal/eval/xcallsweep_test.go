@@ -6,16 +6,25 @@ import (
 	"sgxnet/internal/xcall"
 )
 
-// TestXcallSweepShape checks the claim the sweep exists to demonstrate:
+var xcallSerial = serialSweep((*Runner).XcallSweep)
+
+// TestXcallSweepShape holds a serial run to xcallSweepShape.
+func TestXcallSweepShape(t *testing.T) {
+	checkShape(t, xcallSerial, xcallSweepShape)
+}
+
+// TestXcallSweepDeterministic checks the determinism contract: serial
+// runs repeat exactly and an oversubscribed-parallel run matches.
+func TestXcallSweepDeterministic(t *testing.T) {
+	checkDeterministic(t, xcallSerial, (*Runner).XcallSweep, 1, 8)
+}
+
+// xcallSweepShape checks the claim the sweep exists to demonstrate:
 // switchless calls recover at least 2× of the modeled crossing cycles
 // at batch ≥16 for every application, with the ring's fallbacks
 // reported, while batch 1 buys little (every drain still pays an
 // amortized crossing).
-func TestXcallSweepShape(t *testing.T) {
-	pts, err := NewRunner(0).XcallSweep()
-	if err != nil {
-		t.Fatal(err)
-	}
+func xcallSweepShape(t *testing.T, pts []XcallSweepPoint) {
 	perApp := 1 + len(xcallSweepGrid.batches)*len(xcallSweepGrid.spins)
 	if want := len(xcallSweepGrid.apps) * perApp; len(pts) != want {
 		t.Fatalf("got %d points, want %d", len(pts), want)
@@ -45,34 +54,6 @@ func TestXcallSweepShape(t *testing.T) {
 			}
 		default:
 			t.Errorf("unknown mode %q", p.Mode)
-		}
-	}
-}
-
-// TestXcallSweepDeterministic checks the determinism contract: serial
-// runs repeat exactly and an oversubscribed-parallel run matches.
-func TestXcallSweepDeterministic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the sweep three times; slow under -short")
-	}
-	a, err := NewRunner(1).XcallSweep()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewRunner(1).XcallSweep()
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := NewRunner(8).XcallSweep()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Errorf("point %d diverged between serial runs:\n%+v\n%+v", i, a[i], b[i])
-		}
-		if a[i] != c[i] {
-			t.Errorf("point %d diverged at -workers 8:\n%+v\n%+v", i, a[i], c[i])
 		}
 	}
 }

@@ -118,9 +118,9 @@ func (s *dpiStage) Process(m *core.Meter, p *Packet) error {
 // --- transform ---
 
 type transformStage struct {
-	name     string
-	srcPort  uint16
-	dstPort  uint16
+	name    string
+	srcPort uint16
+	dstPort uint16
 }
 
 // NewTransform returns the header-rewrite stage (NAT-style): nonzero

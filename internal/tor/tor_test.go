@@ -330,3 +330,41 @@ func TestDeployValidation(t *testing.T) {
 		t.Fatal("directory mode without authorities accepted")
 	}
 }
+
+// BenchmarkCircuit measures end-to-end circuit build + fetch through
+// each deployment mode.
+func BenchmarkCircuit(b *testing.B) {
+	for _, mode := range []DeployMode{ModeBaseline, ModeSGXORs} {
+		b.Run(mode.String(), func(b *testing.B) {
+			tn, err := Deploy(NetworkConfig{Mode: mode, Authorities: 3, Relays: 3, Exits: 2, Seed: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			client, err := tn.NewClient("bench-client", 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			consensus, err := tn.Discover(client)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				path, err := client.PickPath(consensus, 3)
+				if err != nil {
+					b.Fatal(err)
+				}
+				circ, err := client.BuildCircuit(path)
+				if err != nil {
+					b.Fatal(err)
+				}
+				_, err = circ.Get(WebHost+"|"+WebService, []byte("bench"))
+				circ.Close()
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
