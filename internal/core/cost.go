@@ -217,10 +217,12 @@ const (
 	// --- Attested channels (RA-TLS, DESIGN.md §15) ---
 
 	// CostQuoteCacheLookup is one warm hit in the RA-TLS verification
-	// cache: the certificate digest, the shard lock, and the map probe
-	// that stand in for a full quote re-verification. Two signature
-	// checks (~2×CostSigVerify) collapse to this, which is what makes N
-	// connections from the same attested peer cost ~1 verification.
+	// cache. The model prices a digest-keyed lookup — the certificate
+	// digest, the shard lock, and the map probe that stand in for a full
+	// quote re-verification — at 6,000 normal instructions, however the
+	// simulator keys its map. Two signature checks (~2×CostSigVerify)
+	// collapse to this, which is what makes N connections from the same
+	// attested peer cost ~1 verification.
 	CostQuoteCacheLookup = 6_000
 
 	// --- Trusted NF chains (DESIGN.md §16) ---

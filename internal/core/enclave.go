@@ -117,6 +117,7 @@ func (b *EnclaveBuilder) EInit(prog *Program, ss SigStruct) (*Enclave, error) {
 		return nil, err
 	}
 	e.keyID = keyID
+	e.env = Env{e: e}
 
 	b.plat.mu.Lock()
 	b.plat.enclaves[b.id] = e
@@ -198,6 +199,10 @@ type Enclave struct {
 	keyID     [16]byte
 	pages     []int
 
+	// env is the handle every entry point receives. It holds only the
+	// enclave pointer, so all calls share it instead of allocating one.
+	env Env
+
 	hostMu sync.RWMutex
 	host   Host
 
@@ -255,8 +260,7 @@ func (e *Enclave) Call(fn string, arg []byte) ([]byte, error) {
 		hp.p.Observe(KindEENTER, 1)
 		hp.p.Observe(KindEnclaveCall, 1)
 	}
-	env := &Env{e: e}
-	out, err := h(env, arg)
+	out, err := h(&e.env, arg)
 	e.meter.ChargeSGX(1) // EEXIT
 	e.plat.observe(KindEEXIT, 1)
 	e.inside.Add(-1)
@@ -290,8 +294,7 @@ func (e *Enclave) SwitchlessCall(fn string, arg []byte) ([]byte, error) {
 	}
 	e.inside.Add(1)
 	defer e.inside.Add(-1)
-	env := &Env{e: e}
-	return h(env, arg)
+	return h(&e.env, arg)
 }
 
 // entry resolves an entry-point name (empty = Main) against the program.

@@ -160,10 +160,16 @@ func ratlsSweepPoint(tr *obs.Trace, set *series.Set, mode string, shards, client
 
 	// The verifying endpoint: a bare meter in native mode, a gate
 	// enclave (one ECALL per admission) in SGX mode. Launch costs are
-	// drained so the phases measure admission only.
+	// drained so the phases measure admission only. Connection i comes
+	// from peer i mod ratlsSweepPeers; names and gate arguments are
+	// built once per peer, outside the admission loops.
+	names := make([]string, ratlsSweepPeers)
+	for i := range names {
+		names[i] = fmt.Sprintf("peer-%d", i)
+	}
 	var meter *core.Meter
-	admit := func(peer string, cert []byte) error {
-		_, err := v.Admit(meter, cert, peer)
+	admit := func(i int) error {
+		_, err := v.Admit(meter, certs[i%ratlsSweepPeers], names[i%ratlsSweepPeers])
 		return err
 	}
 	switch mode {
@@ -176,8 +182,12 @@ func ratlsSweepPoint(tr *obs.Trace, set *series.Set, mode string, shards, client
 		}
 		meter = gate.Meter()
 		meter.Reset()
-		admit = func(peer string, cert []byte) error {
-			_, err := gate.Call(ratls.GateService, ratls.EncodeAdmit(peer, cert))
+		args := make([][]byte, ratlsSweepPeers)
+		for i := range args {
+			args[i] = ratls.EncodeAdmit(names[i], certs[i])
+		}
+		admit = func(i int) error {
+			_, err := gate.Call(ratls.GateService, args[i%ratlsSweepPeers])
 			return err
 		}
 	default:
@@ -197,12 +207,10 @@ func ratlsSweepPoint(tr *obs.Trace, set *series.Set, mode string, shards, client
 		sm.GaugeAt("ratls.cache.hitrate.pct", now, uint64(st.HitRate()*100))
 	}
 
-	peerName := func(i int) string { return fmt.Sprintf("peer-%d", i%ratlsSweepPeers) }
-
 	// Cold phase: first sight of every certificate, serially.
 	sp := tr.Begin(track, "ratls.cold", meter)
 	for i := 0; i < ratlsSweepPeers; i++ {
-		if err := admit(peerName(i), certs[i%ratlsSweepPeers]); err != nil {
+		if err := admit(i); err != nil {
 			return pt, fmt.Errorf("eval: cold admission %d: %w", i, err)
 		}
 	}
@@ -229,7 +237,7 @@ func ratlsSweepPoint(tr *obs.Trace, set *series.Set, mode string, shards, client
 			defer wg.Done()
 			for i := w; i < warmConns; i += workers {
 				j := ratlsSweepPeers + i
-				if err := admit(peerName(j), certs[j%ratlsSweepPeers]); err != nil {
+				if err := admit(j); err != nil {
 					errs[w] = fmt.Errorf("eval: warm admission %d: %w", j, err)
 					return
 				}

@@ -85,8 +85,7 @@ func GateProgram(v *Verifier) *core.Program {
 				if len(arg) < 2+n {
 					return nil, fmt.Errorf("ratls: truncated admit peer")
 				}
-				peer := string(arg[2 : 2+n])
-				id, err := v.Admit(env.Meter(), arg[2+n:], peer)
+				id, err := admit(v, env.Meter(), arg[2+n:], arg[2:2+n])
 				if err != nil {
 					return nil, err
 				}

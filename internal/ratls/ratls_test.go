@@ -11,6 +11,9 @@ import (
 	"sgxnet/internal/tlslite"
 )
 
+// raceEnabled is set by race_test.go under the race detector.
+var raceEnabled bool
+
 // rig is one SGX platform with a minter and a launched subject enclave.
 type rig struct {
 	plat    *core.Platform
@@ -31,7 +34,7 @@ func subjectProgram() *core.Program {
 	return prog
 }
 
-func newRig(t *testing.T, seed string) *rig {
+func newRig(t testing.TB, seed string) *rig {
 	t.Helper()
 	arch, err := core.NewSigner()
 	if err != nil {
@@ -202,13 +205,79 @@ func TestSybilReRegistrationRejected(t *testing.T) {
 		t.Fatalf("warm Sybil re-registration admitted (err=%v)", err)
 	}
 	// Cold path: evict the verdict, then re-present under a third name.
-	v.Invalidate(Digest(raw))
+	v.Invalidate(raw)
 	if _, err := v.Admit(core.NewMeter(), raw, "relay-c"); !errors.Is(err, ErrRejected) {
 		t.Fatalf("cold Sybil re-registration admitted (err=%v)", err)
 	}
 	// The original name still works.
 	if _, err := v.Admit(core.NewMeter(), raw, "relay-a"); err != nil {
 		t.Fatalf("legitimate re-admission failed: %v", err)
+	}
+	// After an epoch bump the original name re-verifies cold and caches
+	// a fresh verdict; on that warm entry a second name is still refused.
+	v.InvalidateAll()
+	if _, err := v.Admit(core.NewMeter(), raw, "relay-a"); err != nil {
+		t.Fatalf("re-admission after epoch bump failed: %v", err)
+	}
+	m := core.NewMeter()
+	if _, err := v.Admit(m, raw, "relay-d"); !errors.Is(err, ErrRejected) {
+		t.Fatalf("warm Sybil re-registration after epoch bump admitted (err=%v)", err)
+	}
+	if m.Normal() != 0 {
+		t.Fatalf("refused warm Sybil charged %d, want 0", m.Normal())
+	}
+}
+
+// TestLookalikeDoesNotPoisonCache: certificates one bit away from a
+// cached one are full misses. Each is refused, charges only the
+// signature checks that passed before the flipped field failed, and
+// leaves the cache as it was; the genuine certificate stays warm.
+func TestLookalikeDoesNotPoisonCache(t *testing.T) {
+	r := newRig(t, "lookalike")
+	_, raw, err := r.minter.Mint(r.subject)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := NewVerifier(r.whitelist(), 4)
+	if _, err := v.Admit(core.NewMeter(), raw, "relay"); err != nil {
+		t.Fatal(err)
+	}
+	// The proof of possession covers the key and the instance ID, not
+	// MRENCLAVE, so a flipped MRENCLAVE passes (and is charged) that
+	// check before the quote signature refuses it.
+	popCharge := core.CostSigVerify + uint64(len(popLabel)+32+16)*core.CostSHA256PerByte
+	cases := []struct {
+		name   string
+		off    int
+		charge uint64
+	}{
+		{"instance ID", len(certMagic) + 32, 0},
+		{"MRENCLAVE", len(certMagic) + 32 + 16, popCharge},
+		{"PopSig tail", CertSize - 1, 0},
+	}
+	entries := v.Stats().Entries
+	for _, tc := range cases {
+		fake := append([]byte(nil), raw...)
+		fake[tc.off] ^= 1
+		m := core.NewMeter()
+		if _, err := v.Admit(m, fake, "relay"); !errors.Is(err, ErrRejected) {
+			t.Fatalf("%s flip admitted (err=%v)", tc.name, err)
+		}
+		if m.Normal() != tc.charge {
+			t.Fatalf("%s flip charged %d, want %d", tc.name, m.Normal(), tc.charge)
+		}
+		if got := v.Stats().Entries; got != entries {
+			t.Fatalf("%s flip changed cache entries %d -> %d", tc.name, entries, got)
+		}
+	}
+	m := core.NewMeter()
+	warm := v.Stats().Warm
+	if _, err := v.Admit(m, raw, "relay"); err != nil {
+		t.Fatalf("genuine admit after look-alikes: %v", err)
+	}
+	if m.Normal() != core.CostQuoteCacheLookup || v.Stats().Warm != warm+1 {
+		t.Fatalf("genuine admit charged %d (warm %d -> %d), want a warm hit at %d",
+			m.Normal(), warm, v.Stats().Warm, core.CostQuoteCacheLookup)
 	}
 }
 
@@ -241,8 +310,87 @@ func TestRevocationEpoch(t *testing.T) {
 	}
 }
 
+// warmGate launches a gate enclave over v and admits raw once, so the
+// next admission of raw as "relay" is warm.
+func warmGate(t testing.TB, r *rig, v *Verifier, raw []byte) (*core.Enclave, []byte) {
+	t.Helper()
+	signer, err := core.NewSigner()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate, err := r.plat.Launch(GateProgram(v), signer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arg := EncodeAdmit("relay", raw)
+	if _, err := gate.Call(GateService, arg); err != nil {
+		t.Fatal(err)
+	}
+	return gate, arg
+}
+
+// TestWarmAdmitAllocFree: a warm Verifier.Admit allocates nothing, and
+// a warm gate ECALL over a pre-encoded argument allocates only its
+// 64-byte reply.
+func TestWarmAdmitAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	r := newRig(t, "allocs")
+	_, raw, err := r.minter.Mint(r.subject)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := NewVerifier(r.whitelist(), 8)
+	gate, arg := warmGate(t, r, v, raw)
+	m := core.NewMeter()
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := v.Admit(m, raw, "relay"); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("warm Verifier.Admit made %v allocs, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := gate.Call(GateService, arg); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 1 {
+		t.Fatalf("warm gate admit made %v allocs, want at most 1 (the reply)", n)
+	}
+}
+
+// BenchmarkWarmAdmit times one warm admission, directly and through
+// the gate enclave.
+func BenchmarkWarmAdmit(b *testing.B) {
+	r := newRig(b, "bench")
+	_, raw, err := r.minter.Mint(r.subject)
+	if err != nil {
+		b.Fatal(err)
+	}
+	v := NewVerifier(r.whitelist(), 8)
+	gate, arg := warmGate(b, r, v, raw)
+	b.Run("direct", func(b *testing.B) {
+		m := core.NewMeter()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := v.Admit(m, raw, "relay"); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("gate", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := gate.Call(GateService, arg); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // TestShardedCacheConcurrent hammers one verifier from many goroutines
-// (run under -race in CI's ratls-smoke job). Counters must balance and
+// (run under -race by the CI test job's go test -race ./...). Counters must balance and
 // every admission must succeed.
 func TestShardedCacheConcurrent(t *testing.T) {
 	r := newRig(t, "concurrent")

@@ -4,6 +4,7 @@ import (
 	"crypto/ed25519"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"sync"
 	"sync/atomic"
 
@@ -19,12 +20,15 @@ type entry struct {
 	epoch uint64 // policy epoch the verdict was computed under
 	id    attest.Identity
 	inst  [16]byte
+	peer  string // the name inst is bound to (bindings are never removed)
 }
 
-// shard is one lock-striped slice of the cache.
+// shard is one lock-striped slice of the cache, keyed by the full
+// certificate bytes: a hit means the presented bytes equal a
+// certificate that passed full verification.
 type shard struct {
 	mu sync.Mutex
-	m  map[[32]byte]entry
+	m  map[string]entry
 }
 
 // Stats is a point-in-time snapshot of verifier activity.
@@ -45,11 +49,12 @@ func (s Stats) HitRate() float64 {
 }
 
 // Verifier admits peers by RA-TLS certificate: full verification on
-// first sight, a sharded digest cache afterwards. Revocation works by
-// policy epoch — SetPolicy bumps the epoch, so every cached verdict
-// silently expires and the next admission re-verifies against the new
-// whitelist. The instance table rejects Sybil re-registration: one
-// enclave instance may register under exactly one peer name.
+// first sight, a sharded cache of verified certificates afterwards.
+// Revocation works by policy epoch — SetPolicy bumps the epoch, so
+// every cached verdict silently expires and the next admission
+// re-verifies against the new whitelist. The instance table rejects
+// Sybil re-registration: one enclave instance may register under
+// exactly one peer name.
 //
 // All methods are safe for concurrent use; the meter passed to Admit is
 // the caller's (each admitting endpoint charges its own verification).
@@ -59,6 +64,7 @@ type Verifier struct {
 	Probe core.Probe
 
 	epoch  atomic.Uint64
+	seed   maphash.Seed // picks a certificate's shard
 	shards []shard
 
 	mu   sync.Mutex
@@ -77,13 +83,19 @@ func NewVerifier(pol attest.Policy, shards int) *Verifier {
 	}
 	v := &Verifier{
 		pol:    pol,
+		seed:   maphash.MakeSeed(),
 		shards: make([]shard, shards),
 		inst:   make(map[[16]byte]string),
 	}
 	for i := range v.shards {
-		v.shards[i].m = make(map[[32]byte]entry)
+		v.shards[i].m = make(map[string]entry)
 	}
 	return v
+}
+
+// shardOf returns the lock stripe that caches raw.
+func (v *Verifier) shardOf(raw []byte) *shard {
+	return &v.shards[maphash.Bytes(v.seed, raw)%uint64(len(v.shards))]
 }
 
 // SetPolicy replaces the acceptance policy and revokes every cached
@@ -98,11 +110,11 @@ func (v *Verifier) SetPolicy(pol attest.Policy) {
 	v.epoch.Add(1)
 }
 
-// Invalidate drops one cached verdict by certificate digest.
-func (v *Verifier) Invalidate(digest [32]byte) {
-	sh := &v.shards[int(digest[0])%len(v.shards)]
+// Invalidate drops the cached verdict for one serialized certificate.
+func (v *Verifier) Invalidate(cert []byte) {
+	sh := v.shardOf(cert)
 	sh.mu.Lock()
-	delete(sh.m, digest)
+	delete(sh.m, string(cert))
 	sh.mu.Unlock()
 }
 
@@ -167,19 +179,30 @@ func (v *Verifier) bindInstance(inst [16]byte, peer string) error {
 // verifier nothing on the meter; a warm hit charges exactly
 // core.CostQuoteCacheLookup.
 func (v *Verifier) Admit(m *core.Meter, raw []byte, peer string) (attest.Identity, error) {
-	digest := Digest(raw)
-	sh := &v.shards[int(digest[0])%len(v.shards)]
+	return admit(v, m, raw, peer)
+}
+
+// admit is Admit over a peer name held as a string or as bytes, so the
+// gate enclave can admit straight from its ECALL argument: the warm
+// path allocates nothing, hashes nothing cryptographically and takes
+// only its shard's lock.
+func admit[P string | []byte](v *Verifier, m *core.Meter, raw []byte, peer P) (attest.Identity, error) {
+	sh := v.shardOf(raw)
 	ep := v.epoch.Load()
 
 	sh.mu.Lock()
-	e, hit := sh.m[digest]
+	e, hit := sh.m[string(raw)]
 	sh.mu.Unlock()
 	if hit && e.epoch == ep {
 		// The verdict is current, but the Sybil check still runs: the
 		// same cached certificate presented under a second name is the
-		// re-registration attack, not a cache hit.
-		if err := v.bindInstance(e.inst, peer); err != nil {
-			return attest.Identity{}, v.reject("%v", err)
+		// re-registration attack, not a cache hit. The entry's own name
+		// is bound to its instance for good, so only another name needs
+		// the instance table.
+		if string(peer) != e.peer {
+			if err := v.bindInstance(e.inst, string(peer)); err != nil {
+				return attest.Identity{}, v.reject("%v", err)
+			}
 		}
 		m.ChargeNormal(core.CostQuoteCacheLookup)
 		v.warm.Add(1)
@@ -218,12 +241,13 @@ func (v *Verifier) Admit(m *core.Meter, raw []byte, peer string) (attest.Identit
 	if perr := pol.Check(&cert.Quote); perr != nil {
 		return attest.Identity{}, v.rejectErr(perr)
 	}
-	if err := v.bindInstance(cert.InstanceID, peer); err != nil {
+	name := string(peer)
+	if err := v.bindInstance(cert.InstanceID, name); err != nil {
 		return attest.Identity{}, v.reject("%v", err)
 	}
 
 	sh.mu.Lock()
-	sh.m[digest] = entry{epoch: ep, id: cert.Quote.Identity, inst: cert.InstanceID}
+	sh.m[string(raw)] = entry{epoch: ep, id: cert.Quote.Identity, inst: cert.InstanceID, peer: name}
 	sh.mu.Unlock()
 	v.cold.Add(1)
 	v.observe(KindVerifyCold)

@@ -38,6 +38,7 @@ func xcallFetch(t *testing.T, xc *xcall.Config, gets int) (uint64, xcall.Stats) 
 		t.Fatal(err)
 	}
 	defer circ.Close()
+	tn.WaitIdle()
 	for _, o := range tn.ORs {
 		o.Enclave().Meter().Reset()
 	}
@@ -53,6 +54,7 @@ func xcallFetch(t *testing.T, xc *xcall.Config, gets int) (uint64, xcall.Stats) 
 	if err := tn.FlushXcall(); err != nil {
 		t.Fatal(err)
 	}
+	tn.WaitIdle()
 	return tn.RelaySGX(), tn.XcallStats()
 }
 
